@@ -56,8 +56,6 @@ func main() {
 	poolBytes := flag.Int("poolbytes", 32<<20, "tensor residency pool budget per engine, bytes (negative disables)")
 	runners := flag.Int("runners", 4, "warm-runner cache size per worker")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max time to finish queued jobs on shutdown")
-	notile := flag.Bool("notile", false, "shade in horizontal bands instead of the tile-binned fragment engine (host time only; results are bit-identical)")
-	tilesize := flag.Int("tilesize", 0, "tile edge length of the tiled fragment engine (0: default 32)")
 	nolanes := flag.Bool("nolanes", false, "shade every fragment individually instead of lane-batched SoA execution (host time only; results are bit-identical)")
 	lanewidth := flag.Int("lanewidth", 0, "SoA batch width of the lane-batched shader engine (0: default 8, max 16)")
 	nomaskedlanes := flag.Bool("nomaskedlanes", false, "shade branchy programs per-fragment instead of divergence-masked lane execution (host time only; results are bit-identical)")
@@ -105,8 +103,6 @@ func main() {
 		MaxBatch:        *maxBatch,
 		TensorPoolBytes: *poolBytes,
 		MaxRunners:      *runners,
-		NoTiling:        *notile,
-		TileSize:        *tilesize,
 		NoLanes:         *nolanes,
 		LaneWidth:       *lanewidth,
 		NoMaskedLanes:   *nomaskedlanes,

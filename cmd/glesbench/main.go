@@ -11,8 +11,6 @@
 //	glesbench -iters 100    # repetitions per configuration
 //	glesbench -nojit        # reference interpreter instead of the compiled engine
 //	glesbench -nopasses     # disable the host shader optimisation passes
-//	glesbench -notile       # band shading instead of the tile-binned engine
-//	glesbench -tilesize 16  # tile edge length of the tiled engine
 //	glesbench -nolanes      # per-fragment shading instead of lane-batched SoA
 //	glesbench -lanewidth 8  # SoA batch width of the lane-batched engine
 //	glesbench -nomaskedlanes # branchy programs per-fragment instead of masked lanes
@@ -51,8 +49,6 @@ type benchJSON struct {
 	Workers     int          `json:"workers"`
 	JIT         bool         `json:"jit"`
 	Passes      bool         `json:"passes"`
-	Tiling      bool         `json:"tiling"`
-	TileSize    int          `json:"tile_size"`
 	Lanes       bool         `json:"lanes"`
 	LaneWidth   int          `json:"lane_width"`
 	MaskedLanes bool         `json:"masked_lanes"`
@@ -91,8 +87,6 @@ func main() {
 	workers := flag.Int("workers", 0, "host fragment-shading workers (0: GLES2GPGPU_WORKERS or GOMAXPROCS, 1: serial); virtual-time results are identical at any setting")
 	nojit := flag.Bool("nojit", false, "run shaders on the reference interpreter instead of the closure-compiled engine (A/B escape hatch; results are bit-identical, only host time changes)")
 	nopasses := flag.Bool("nopasses", false, "disable the host shader optimisation passes (A/B escape hatch; the passes are cycle-neutral, so results are bit-identical, only host time changes)")
-	notile := flag.Bool("notile", false, "shade in horizontal bands instead of the tile-binned fragment engine (A/B escape hatch; results are bit-identical, only host time changes)")
-	tilesize := flag.Int("tilesize", 0, "tile edge length of the tiled fragment engine (0: default 32)")
 	nolanes := flag.Bool("nolanes", false, "shade every fragment individually instead of lane-batched SoA execution (A/B escape hatch; results are bit-identical, only host time changes)")
 	lanewidth := flag.Int("lanewidth", 0, "SoA batch width of the lane-batched engine (0: default 8, max 16); results are bit-identical at any width")
 	nomaskedlanes := flag.Bool("nomaskedlanes", false, "shade branchy programs (jacobi) per-fragment instead of divergence-masked lane execution (A/B escape hatch; results are bit-identical, only host time changes)")
@@ -150,15 +144,11 @@ func main() {
 
 	o := bench.Opts{
 		PaperSize: *size, CalibSize: *calib, Iters: *iters, Workers: *workers,
-		NoJIT: *nojit, NoPasses: *nopasses, NoTiling: *notile, TileSize: *tilesize,
+		NoJIT: *nojit, NoPasses: *nopasses,
 		NoLanes: *nolanes, LaneWidth: *lanewidth, NoMaskedLanes: *nomaskedlanes,
 		NoCoherence: *nocoherence,
 	}
 	devs := bench.Devices()
-	tileSize := *tilesize
-	if tileSize == 0 {
-		tileSize = gles.DefaultTileSize
-	}
 	laneWidth := *lanewidth
 	if laneWidth == 0 {
 		laneWidth = shader.DefaultLaneWidth
@@ -173,8 +163,6 @@ func main() {
 		Workers:    *workers,
 		JIT:        !*nojit && shader.DefaultJIT(),
 		Passes:     !*nopasses && shader.DefaultPasses(),
-		Tiling:     !*notile && gles.DefaultTiling(),
-		TileSize:   tileSize,
 		Lanes:      !*nolanes && !*nojit && shader.DefaultLanes(),
 		LaneWidth:  laneWidth,
 		MaskedLanes: !*nomaskedlanes && !*nolanes && !*nojit &&

@@ -83,11 +83,6 @@ type Opts struct {
 	// functional calibration. Like NoJIT it changes host time only: the
 	// passes are cycle-neutral, so virtual-time figures are identical.
 	NoPasses bool
-	// NoTiling shades the functional calibration in horizontal bands
-	// instead of the tile-binned engine. Host time only, like NoJIT.
-	NoTiling bool
-	// TileSize overrides the tiled engine's tile edge length (0: default).
-	TileSize int
 	// NoLanes shades the functional calibration one fragment at a time
 	// instead of lane-batched SoA execution. Host time only, like NoJIT.
 	NoLanes bool
@@ -224,12 +219,6 @@ func Measure(ctx context.Context, cfg core.Config, spec Spec, o Opts) (Result, e
 	}
 	if o.NoPasses {
 		cfg.NoPasses = true
-	}
-	if o.NoTiling {
-		cfg.NoTiling = true
-	}
-	if o.TileSize != 0 {
-		cfg.TileSize = o.TileSize
 	}
 	if o.NoLanes {
 		cfg.NoLanes = true

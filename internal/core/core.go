@@ -143,22 +143,13 @@ type Config struct {
 	// figures are bit-identical either way.
 	NoPasses bool
 
-	// NoTiling disables the tile-binned fragment engine, shading eligible
-	// parallel draws in horizontal bands instead (the library equivalent
-	// of GLES2GPGPU_NO_TILING=1). Like NoJIT it changes host wall-clock
-	// time only: results and virtual-time figures are bit-identical.
-	NoTiling bool
-
-	// TileSize overrides the edge length of the square screen tiles the
-	// tiled fragment engine bins into. 0 means gles.DefaultTileSize.
-	TileSize int
-
 	// NoLanes disables the lane-batched (SoA) shader execution engine,
 	// shading every fragment individually instead (the library equivalent
 	// of GLES2GPGPU_NO_LANES=1). Like NoJIT it changes host wall-clock
 	// time only: framebuffer contents and every virtual-time figure are
-	// bit-identical either way. Branchy or discarding programs fall back
-	// to per-fragment execution regardless of this setting.
+	// bit-identical either way. With lanes on, branchy or discarding
+	// programs run divergence-masked (see NoMaskedLanes); only programs
+	// that fail the mask-safety or liveness proofs shade per fragment.
 	NoLanes bool
 
 	// LaneWidth overrides how many fragments the lane-batched engine runs
@@ -298,12 +289,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.NoPasses {
 		e.gl.SetPasses(false)
-	}
-	if cfg.NoTiling {
-		e.gl.SetTiling(false)
-	}
-	if cfg.TileSize != 0 {
-		e.gl.SetTileSize(cfg.TileSize)
 	}
 	if cfg.NoLanes {
 		e.gl.SetLanes(false)

@@ -52,10 +52,11 @@ import (
 	"bytes"
 	"math"
 	"os"
-	"sync/atomic"
+	"slices"
 
 	"gles2gpgpu/internal/raster"
 	"gles2gpgpu/internal/shader"
+	"gles2gpgpu/internal/shader/analysis"
 )
 
 // cohBudgetBytes caps the total retained snapshot bytes per context;
@@ -132,18 +133,20 @@ func (c *Context) CoherenceStats() (elided, shaded int64) {
 // of dynamic fetch tracking.
 func (c *Context) CoherenceStaticSlots() int64 { return c.cohStatic }
 
-// coherentEligible gates the coherent tile path. Blending is excluded
-// because a blended fragment reads the destination pixel, making the
-// output depend on target history the signature does not capture; sampling
-// the render target itself (undefined in GLES2) is excluded for the same
-// reason. The liveness proofs are the same ones the parallel paths need:
-// they make fragments independent of each other and of pooled Env state,
-// so a tile-order walk is byte-identical to the serial walk.
-func (c *Context) coherentEligible(fp *shader.Program, tgt renderTarget, samplers []*Texture) bool {
+// coherentEligible decides whether a draw binned into ntiles tiles runs
+// its tile walk with coherence. Blending is excluded because a blended
+// fragment reads the destination pixel, making the output depend on
+// target history the signature does not capture; sampling the render
+// target itself (undefined in GLES2) is excluded for the same reason. The
+// liveness proofs are the ones every multi-tile walk needs: they make
+// fragments independent of each other and of pooled Env state, so a
+// tile-order walk is byte-identical to the serial walk. Draws too large to
+// cache (cohMaxEntryBytes) run without tracking.
+func (c *Context) coherentEligible(fp *shader.Program, tgt renderTarget, samplers []*Texture, ntiles int) bool {
 	if !c.coherence || c.timingOnly || c.blendEnabled {
 		return false
 	}
-	if !fp.WritesBeforeReads || !fp.OutputsAlwaysWritten {
+	if !proven(fp) || ntiles == 0 || ntiles*(c.tileSize*c.tileSize*4+256) > cohMaxEntryBytes {
 		return false
 	}
 	for _, t := range samplers {
@@ -202,8 +205,11 @@ func (c *Context) cohSignature(p *Program, setups []raster.Triangle, vpX, vpY in
 
 // cohTracker records, per sampler slot, the union texel rectangle fetched
 // while shading one tile. One tracker per worker; reset at tile start.
+// static is the worker's scratch for the proven rectangles of static
+// slots (nil when the draw has none).
 type cohTracker struct {
-	foot []cohRect
+	foot   []cohRect
+	static []cohRect
 }
 
 func (tr *cohTracker) reset() {
@@ -399,21 +405,33 @@ func cohTileBytes(ct *cohTile) int {
 	return n
 }
 
-// shadeTrianglesCoherent is the coherent tile path: it bins the draw into
-// tiles, elides tiles whose cached inputs are unchanged since the last
-// matching draw, shades the rest with footprint-tracking samplers (in
-// parallel when workers are configured), and refreshes the cache. Returns
-// ok=false when the draw is too large to cache; the caller falls through
-// to the ordinary paths.
-func (c *Context) shadeTrianglesCoherent(p *Program, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture) (drawStats, bool) {
-	tiles := binTiles(setups, c.tileSize)
-	if len(tiles) == 0 {
-		return drawStats{}, false
-	}
-	if len(tiles)*(c.tileSize*c.tileSize*4+256) > cohMaxEntryBytes {
-		return drawStats{}, false
-	}
+// cohWalk is one coherent draw's state across the tile walk (tiled.go):
+// the draw inputs a tile snapshot reads, the cache entry the walk
+// refreshes, the sampler slots whose footprints the IR proof supplies, and
+// one record per tile left to shade, indexed like the walk's work list and
+// filled by the worker that shades the tile (nil when the tile stays
+// uncached).
+type cohWalk struct {
+	c        *Context
+	p        *Program
+	tgt      renderTarget
+	setups   []raster.Triangle
+	samplers []*Texture
+	key      cohKey
+	entry    *cohDraw
 
+	foot      *analysis.Footprint
+	static    []bool
+	uniforms4 [][4]float32 // non-nil when any slot is static
+	shaded    []*cohTile
+}
+
+// cohBegin opens a coherent draw before the walk: it looks up (or starts)
+// the draw's cache entry, replays every tile whose cached inputs are
+// unchanged since the last matching draw — copying its output bytes and
+// adding its modelled cost to st — and returns the tiles left to shade,
+// compacted in place.
+func (c *Context) cohBegin(p *Program, tgt renderTarget, setups []raster.Triangle, tiles []tileBin, vpX, vpY int, samplers []*Texture, st *drawStats) (*cohWalk, []tileBin) {
 	fp := p.fsProg
 	key := cohKey{program: c.current, w: tgt.w, h: tgt.h}
 	sig := c.cohSignature(p, setups, vpX, vpY, samplers)
@@ -433,319 +451,191 @@ func (c *Context) shadeTrianglesCoherent(p *Program, tgt renderTarget, setups []
 	}
 	entry.gen = c.cohGen
 
-	st := drawStats{valid: true}
-	mask := c.colorMask
-
-	// Partition the tiles: replay the ones whose inputs are unchanged,
-	// shade the rest.
-	shadeIdx := make([]int, 0, len(tiles))
-	for ti := range tiles {
-		tile := &tiles[ti]
+	shade := tiles[:0]
+	for _, tile := range tiles {
 		if match {
 			if ct := entry.tiles[[2]int{tile.x0, tile.y0}]; ct != nil && cohInputsEqual(ct, samplers) {
-				cohApply(ct, tgt, mask)
-				st.fragments += ct.fragments
-				st.cycles += ct.cycles
-				st.texFetches += ct.texFetches
+				cohApply(ct, tgt, c.colorMask)
+				st.add(drawStats{fragments: ct.fragments, cycles: ct.cycles, texFetches: ct.texFetches})
 				c.cohElided++
 				continue
 			}
 		}
-		shadeIdx = append(shadeIdx, ti)
+		shade = append(shade, tile)
 	}
-	c.cohShaded += int64(len(shadeIdx))
-	if len(shadeIdx) == 0 {
-		c.cohEvict(key, entry)
-		return st, true
-	}
+	c.cohShaded += int64(len(shade))
 
-	// Static footprints: slots whose fetch region the IR analysis proved
-	// shade without per-fetch tracking; the proven per-tile rectangle is
-	// snapshotted instead (see footprint.go).
-	foot := c.footprintFor(fp)
-	static := cohStaticSlots(foot, p, samplers)
-	hasStatic := false
-	for _, s := range static {
-		if s {
-			hasStatic = true
-		}
+	w := &cohWalk{
+		c: c, p: p, tgt: tgt, setups: setups, samplers: samplers,
+		key: key, entry: entry, shaded: make([]*cohTile, len(shade)),
 	}
-	if hasStatic {
-		for _, s := range static {
+	if len(shade) > 0 {
+		// Static footprints: slots whose fetch region the IR analysis
+		// proved shade without per-fetch tracking; the proven per-tile
+		// rectangle is snapshotted instead (see footprint.go).
+		w.foot = c.footprintFor(fp)
+		w.static = cohStaticSlots(w.foot, p, samplers)
+		for _, s := range w.static {
 			if s {
 				c.cohStatic++
 			}
 		}
-	}
-	uniforms4 := p.fsUniforms4()
-
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	fcReg := p.fragCoordReg
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
-	pool := c.fsPool(fp)
-	lcfg := c.laneCompiledFor(fp)
-	var lanePool *shader.LaneEnvPool
-	if lcfg != nil {
-		lanePool = c.fsLanePoolFor(fp)
-	}
-
-	nw := c.workers
-	if nw > len(shadeIdx) {
-		nw = len(shadeIdx)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-
-	// Per-tile results staged by shade-list position; the entry map is only
-	// touched on the draw goroutine after the join. Workers write disjoint
-	// tile pixel rects (every pixel belongs to exactly one tile) and read
-	// shared setups/textures, so the only synchronisation needed is the
-	// claim counter.
-	newTiles := make([]*cohTile, len(shadeIdx))
-	var next int64
-	worker := func() {
-		tr := &cohTracker{foot: make([]cohRect, len(samplers))}
-		tfns := make([]shader.TexFunc, len(samplers))
-		for i, t := range samplers {
-			if static[i] {
-				// Proven slot: the plain specialised sampler (bit-identical
-				// values, no recording); the footprint comes from the proof.
-				tfns[i] = specializeSampler(t)
-			} else {
-				tfns[i] = trackedSampler(t, tr, i)
-			}
+		if slices.Contains(w.static, true) {
+			w.uniforms4 = p.fsUniforms4()
 		}
-		var staticRects []cohRect
-		if hasStatic {
-			staticRects = make([]cohRect, len(samplers))
-		}
-		sample := func(idx int, u, v float32) shader.Vec4 {
-			if idx < 0 || idx >= len(tfns) {
-				return shader.Vec4{0, 0, 0, 1}
-			}
-			return tfns[idx](u, v)
-		}
-		var ls *laneShader
-		var env *shader.Env
-		if lcfg != nil {
-			ls = c.newLaneShader(lcfg, lanePool, p, tgt, tfns, sample)
+	}
+	return w, shade
+}
+
+// workerSamplers builds one worker's fetch functions: footprint-tracking
+// samplers recording into the returned tracker, except for slots whose
+// footprint comes from the proof, which fetch through the plain
+// specialised sampler (bit-identical values, no recording). Workers call
+// it on their own goroutine (it only reads the walk), so each tracker,
+// written on every tracked fetch, is allocated apart from the others.
+func (w *cohWalk) workerSamplers() ([]shader.TexFunc, *cohTracker) {
+	tr := &cohTracker{foot: make([]cohRect, len(w.samplers))}
+	if w.uniforms4 != nil {
+		tr.static = make([]cohRect, len(w.samplers))
+	}
+	fns := make([]shader.TexFunc, len(w.samplers))
+	for i, t := range w.samplers {
+		if w.static[i] {
+			fns[i] = specializeSampler(t)
 		} else {
-			env = pool.Get()
-			env.Uniforms = p.fsUniforms
-			env.Sample = sample
-			env.Samplers = tfns
-		}
-
-		for {
-			wi := int(atomic.AddInt64(&next, 1)) - 1
-			if wi >= len(shadeIdx) {
-				break
-			}
-			tile := &tiles[shadeIdx[wi]]
-			ct := &cohTile{}
-			cx0, cy0 := tile.x0+vpX, tile.y0+vpY
-			cx1, cy1 := tile.x1+vpX, tile.y1+vpY
-			if cx0 < 0 {
-				cx0 = 0
-			}
-			if cy0 < 0 {
-				cy0 = 0
-			}
-			if cx1 > tgt.w-1 {
-				cx1 = tgt.w - 1
-			}
-			if cy1 > tgt.h-1 {
-				cy1 = tgt.h - 1
-			}
-			clipped := cx0 <= cx1 && cy0 <= cy1
-			cw := 0
-			if clipped {
-				cw = cx1 - cx0 + 1
-				ct.cover = make([]uint64, (cw*(cy1-cy0+1)+63)/64)
-			}
-			ct.cx0, ct.cy0, ct.cx1, ct.cy1 = cx0, cy0, cx1, cy1
-			tr.reset()
-
-			if ls != nil {
-				pf, pc, pt := ls.frags, ls.env.Cycles, ls.env.TexFetches
-				// Cover bits are set at scatter time via the write hook, not
-				// at gather: a masked batch can discard individual lanes, and
-				// a discarded fragment's pixel must stay uncovered exactly as
-				// in the per-fragment loop below.
-				ls.onWrite = func(px, py int32) {
-					bit := (int(py)-cy0)*cw + (int(px) - cx0)
-					ct.cover[bit>>6] |= 1 << uint(bit&63)
-				}
-				for _, tri := range tile.tris {
-					setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-						px, py := vpX+x, vpY+y
-						if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-							return
-						}
-						ls.add(px, py, fc, varyings)
-					})
-				}
-				// Flush at the tile boundary so the per-tile stat attribution
-				// is exact. Scatter order stays gather order and fragments
-				// are independent (liveness proofs), so bytes are unchanged;
-				// counters are per-fragment sums, indifferent to batching.
-				ls.flush()
-				ls.onWrite = nil
-				ct.fragments = ls.frags - pf
-				ct.cycles = ls.env.Cycles - pc
-				ct.texFetches = ls.env.TexFetches - pt
-			} else {
-				pc, pt := env.Cycles, env.TexFetches
-				var frags int64
-				for _, tri := range tile.tris {
-					setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-						px, py := vpX+x, vpY+y
-						if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-							return
-						}
-						env.Discarded = false
-						for reg, v := range varyings {
-							env.Inputs[reg] = v
-						}
-						if fcReg >= 0 {
-							env.Inputs[fcReg] = fc
-						}
-						if err := execFS(env); err != nil {
-							return
-						}
-						frags++
-						if env.Discarded || !hasOut {
-							return
-						}
-						c.writePixel(tgt.pixels, (py*tgt.w+px)*4, env.Outputs[out.Reg], mask)
-						bit := (py-cy0)*cw + (px - cx0)
-						ct.cover[bit>>6] |= 1 << uint(bit&63)
-					})
-				}
-				ct.fragments = frags
-				ct.cycles = env.Cycles - pc
-				ct.texFetches = env.TexFetches - pt
-			}
-
-			if clipped {
-				ch := cy1 - cy0 + 1
-				// Output snapshot: only this worker writes this tile's pixel
-				// rect, so the copy races with nothing.
-				ct.out = make([]byte, cw*ch*4)
-				for row := 0; row < ch; row++ {
-					src := ((cy0+row)*tgt.w + cx0) * 4
-					copy(ct.out[row*cw*4:(row+1)*cw*4], tgt.pixels[src:src+cw*4])
-				}
-				npix := cw * ch
-				ct.full = true
-				for bit := 0; bit < npix; bit++ {
-					if ct.cover[bit>>6]&(1<<uint(bit&63)) == 0 {
-						ct.full = false
-						break
-					}
-				}
-			}
-
-			// Input snapshots under the recorded footprints. Copied, not
-			// aliased: TexImage2D orphans its data slice but
-			// CopyTexImage2D reuses backing arrays.
-			ct.foot = make([]cohRect, len(samplers))
-			copy(ct.foot, tr.foot)
-			if hasStatic {
-				if cohStaticRects(foot, static, p, uniforms4, setups, tile, samplers, staticRects) {
-					for si := range static {
-						if static[si] {
-							ct.foot[si] = staticRects[si]
-						}
-					}
-				} else {
-					// The tile's fetch region cannot be bounded statically
-					// (non-affine 1/w or a NaN bound): keep the shading
-					// result but leave the tile uncached, like a tile over
-					// the input budget.
-					ct.in = nil
-					ct.out = nil
-					ct.cover = nil
-					newTiles[wi] = ct
-					continue
-				}
-			}
-			ct.in = make([][]byte, len(samplers))
-			inBytes := 0
-			for si := range ct.foot {
-				fr := &ct.foot[si]
-				if fr.empty() {
-					continue
-				}
-				inBytes += (fr.x1 - fr.x0 + 1) * (fr.y1 - fr.y0 + 1) * 4
-			}
-			if inBytes > cohMaxTileInBytes {
-				// Footprint too large to cache (whole-matrix reads): keep
-				// the shading result but drop the tile from the cache.
-				ct.in = nil
-				ct.out = nil
-				ct.cover = nil
-				newTiles[wi] = ct
-				continue
-			}
-			for si := range ct.foot {
-				fr := &ct.foot[si]
-				if fr.empty() {
-					continue
-				}
-				t := samplers[si]
-				rw := (fr.x1 - fr.x0 + 1) * 4
-				snap := make([]byte, rw*(fr.y1-fr.y0+1))
-				for row := fr.y0; row <= fr.y1; row++ {
-					src := (row*t.W + fr.x0) * 4
-					copy(snap[(row-fr.y0)*rw:(row-fr.y0+1)*rw], t.data[src:src+rw])
-				}
-				ct.in[si] = snap
-			}
-			ct.bytes = cohTileBytes(ct)
-			newTiles[wi] = ct
-		}
-
-		if ls != nil {
-			ls.finish() // per-tile stats already attributed; recycle the env
-		} else {
-			pool.Put(env)
+			fns[i] = trackedSampler(t, tr, i)
 		}
 	}
+	return fns, tr
+}
 
-	if nw >= 2 {
-		fns := make([]func(), nw)
-		for i := range fns {
-			fns[i] = worker
+// beginTile starts shading work-list tile ti on a worker: the tile's
+// rectangle clipped to the target, a cover bitmap the sink's write hook
+// fills, a fresh footprint, and the sink's counters at tile start. Cover
+// bits are set at scatter time, not at gather: a masked batch can discard
+// individual lanes, and a discarded fragment's pixel must stay uncovered.
+func (w *cohWalk) beginTile(ti int, tile *tileBin, vpX, vpY int, sink *fragSink, tr *cohTracker) {
+	cx0, cy0 := max(tile.x0+vpX, 0), max(tile.y0+vpY, 0)
+	cx1, cy1 := min(tile.x1+vpX, w.tgt.w-1), min(tile.y1+vpY, w.tgt.h-1)
+	ct := &cohTile{cx0: cx0, cy0: cy0, cx1: cx1, cy1: cy1}
+	if cx0 <= cx1 && cy0 <= cy1 {
+		cw := cx1 - cx0 + 1
+		ct.cover = make([]uint64, (cw*(cy1-cy0+1)+63)/64)
+		sink.onWrite = func(px, py int32) {
+			bit := (int(py)-cy0)*cw + (int(px) - cx0)
+			ct.cover[bit>>6] |= 1 << uint(bit&63)
 		}
-		c.ensurePool().run(fns)
-	} else {
-		worker()
+	}
+	tr.reset()
+	ct.fragments = sink.frags
+	ct.cycles, ct.texFetches = sink.counters()
+	w.shaded[ti] = ct
+}
+
+// endTile finishes work-list tile ti on its worker: the counters become
+// the tile's share of the draw measurement, and the tile is snapshotted
+// for the cache. Flushing the sink at the tile boundary makes the
+// per-tile attribution exact; scatter order stays gather order and
+// fragments are independent (liveness proofs), so bytes are unchanged,
+// and counters are per-fragment sums, indifferent to batching.
+func (w *cohWalk) endTile(ti int, tile *tileBin, sink *fragSink, tr *cohTracker) {
+	sink.flush()
+	sink.onWrite = nil
+	ct := w.shaded[ti]
+	cycles, tex := sink.counters()
+	ct.fragments = sink.frags - ct.fragments
+	ct.cycles = cycles - ct.cycles
+	ct.texFetches = tex - ct.texFetches
+	if !w.snapshot(ct, tile, tr) {
+		w.shaded[ti] = nil
+	}
+}
+
+// snapshot fills a shaded tile's cached state: its footprints, copies of
+// the texel bytes under them and the output bytes of its clipped
+// rectangle. Only this worker writes the tile's pixels, so the copy races
+// with nothing; texels are copied, not aliased, because TexImage2D orphans
+// its data slice but CopyTexImage2D reuses backing arrays. It reports
+// false, leaving the tile uncached, when the tile lies off the target,
+// when a proven slot's fetch region cannot be bounded for it (non-affine
+// 1/w or a NaN bound), or when its footprint exceeds cohMaxTileInBytes
+// (whole-matrix reads, whose inputs change wholesale every pass anyway).
+func (w *cohWalk) snapshot(ct *cohTile, tile *tileBin, tr *cohTracker) bool {
+	if ct.cover == nil {
+		return false
+	}
+	ct.foot = append([]cohRect(nil), tr.foot...)
+	if tr.static != nil {
+		if !cohStaticRects(w.foot, w.static, w.p, w.uniforms4, w.setups, tile, w.samplers, tr.static) {
+			return false
+		}
+		for si, s := range w.static {
+			if s {
+				ct.foot[si] = tr.static[si]
+			}
+		}
+	}
+	inBytes := 0
+	for si := range ct.foot {
+		if fr := &ct.foot[si]; !fr.empty() {
+			inBytes += (fr.x1 - fr.x0 + 1) * (fr.y1 - fr.y0 + 1) * 4
+		}
+	}
+	if inBytes > cohMaxTileInBytes {
+		return false
+	}
+	ct.in = make([][]byte, len(w.samplers))
+	for si := range ct.foot {
+		fr := &ct.foot[si]
+		if fr.empty() {
+			continue
+		}
+		t := w.samplers[si]
+		rw := (fr.x1 - fr.x0 + 1) * 4
+		snap := make([]byte, rw*(fr.y1-fr.y0+1))
+		for row := fr.y0; row <= fr.y1; row++ {
+			src := (row*t.W + fr.x0) * 4
+			copy(snap[(row-fr.y0)*rw:(row-fr.y0+1)*rw], t.data[src:src+rw])
+		}
+		ct.in[si] = snap
 	}
 
-	// Merge stats and refresh the cache entry (serial again).
-	for wi, ct := range newTiles {
-		st.fragments += ct.fragments
-		st.cycles += ct.cycles
-		st.texFetches += ct.texFetches
-		tile := &tiles[shadeIdx[wi]]
-		k := [2]int{tile.x0, tile.y0}
+	cw, ch := ct.cx1-ct.cx0+1, ct.cy1-ct.cy0+1
+	ct.out = make([]byte, cw*ch*4)
+	for row := 0; row < ch; row++ {
+		src := ((ct.cy0+row)*w.tgt.w + ct.cx0) * 4
+		copy(ct.out[row*cw*4:(row+1)*cw*4], w.tgt.pixels[src:src+cw*4])
+	}
+	ct.full = true
+	for bit := 0; bit < cw*ch; bit++ {
+		if ct.cover[bit>>6]&(1<<uint(bit&63)) == 0 {
+			ct.full = false
+			break
+		}
+	}
+	ct.bytes = cohTileBytes(ct)
+	return true
+}
+
+// store runs after the walk, on the draw goroutine: it replaces the
+// entry's records for the shaded tiles with their snapshots and enforces
+// the byte budget. tiles is the walk's work list.
+func (w *cohWalk) store(tiles []tileBin) {
+	c, entry := w.c, w.entry
+	for ti := range tiles {
+		k := [2]int{tiles[ti].x0, tiles[ti].y0}
 		if old := entry.tiles[k]; old != nil {
 			entry.bytes -= old.bytes
 			c.cohBytes -= old.bytes
 			delete(entry.tiles, k)
 		}
-		if ct.out == nil && ct.cover == nil {
-			continue // over the per-tile input budget: not cached
+		if ct := w.shaded[ti]; ct != nil {
+			entry.tiles[k] = ct
+			entry.bytes += ct.bytes
+			c.cohBytes += ct.bytes
 		}
-		entry.tiles[k] = ct
-		entry.bytes += ct.bytes
-		c.cohBytes += ct.bytes
 	}
-	c.cohEvict(key, entry)
-	return st, true
+	c.cohEvict(w.key, entry)
 }
 
 // cohEvict enforces the retained-byte budget: oldest-generation entries go

@@ -173,6 +173,13 @@ type drawStats struct {
 	valid      bool
 }
 
+// add accumulates one worker's or tile's share of a draw measurement.
+func (st *drawStats) add(o drawStats) {
+	st.fragments += o.fragments
+	st.cycles += o.cycles
+	st.texFetches += o.texFetches
+}
+
 // Context is an OpenGL ES 2.0 context bound to an EGL context.
 type Context struct {
 	eglCtx *egl.Context
@@ -242,20 +249,17 @@ type Context struct {
 	// bytes and virtual time bit-identical; only host work changes.
 	passes bool
 
-	// tiling selects the tile-binned fragment engine for eligible parallel
-	// draws (see tiled.go): triangles are binned into tileSize×tileSize
-	// screen tiles and tiles become the parallel work unit, the traversal
-	// order of the tile-based GPUs the simulator models. Results are
-	// bit-identical to band or serial shading; only host scheduling changes.
-	tiling   bool
+	// tileSize is the square tile edge of the triangle tile walk (see
+	// tiled.go), fixed at DefaultTileSize; only in-package tests vary it.
 	tileSize int
 
 	// lanes selects the lane-batched (SoA) shader engine for straight-line
 	// fragment programs (see lanes.go): batches of laneWidth fragments run
 	// through each instruction at once, amortising closure dispatch.
 	// Framebuffer bytes and all virtual-time figures are bit-identical;
-	// only host wall-clock time changes. Branchy/discarding programs fall
-	// back to the per-fragment engine automatically.
+	// only host wall-clock time changes. Branchy/discarding programs run
+	// divergence-masked (maskedLanes) or, failing the mask-safety proof,
+	// on the per-fragment engine.
 	lanes     bool
 	laneWidth int
 
@@ -317,14 +321,10 @@ type Context struct {
 // toggle for new contexts.
 func defaultStrictLimits() bool { return os.Getenv("GLES2GPGPU_STRICT_LIMITS") != "" }
 
-// DefaultTileSize is the edge length of the square screen tiles the tiled
-// fragment engine bins into. 32 matches the binning granularity class of
-// the paper's tile-based parts (VideoCore IV, PowerVR SGX).
+// DefaultTileSize is the edge length of the square screen tiles the
+// triangle tile walk bins into. 32 matches the binning granularity class
+// of the paper's tile-based parts (VideoCore IV, PowerVR SGX).
 const DefaultTileSize = 32
-
-// DefaultTiling reads the GLES2GPGPU_NO_TILING environment toggle for new
-// contexts: tiling is on unless the variable is set.
-func DefaultTiling() bool { return os.Getenv("GLES2GPGPU_NO_TILING") == "" }
 
 // Framebuffer is a framebuffer object with a colour attachment.
 type Framebuffer struct {
@@ -355,7 +355,6 @@ func NewContext(ec *egl.Context) *Context {
 		workers:      defaultWorkers(),
 		jit:          shader.DefaultJIT(),
 		passes:       shader.DefaultPasses(),
-		tiling:       DefaultTiling(),
 		tileSize:     DefaultTileSize,
 		lanes:        shader.DefaultLanes(),
 		laneWidth:    shader.DefaultLaneWidth,
@@ -446,29 +445,6 @@ func (c *Context) SetPasses(on bool) { c.passes = on }
 // Passes reports whether the optimised program form is selected.
 func (c *Context) Passes() bool { return c.passes }
 
-// SetTiling selects the tile-binned fragment engine for eligible parallel
-// draws: triangles are binned into screen tiles (SetTileSize) and shaded
-// tile-by-tile with dynamic work distribution, instead of in fixed
-// horizontal bands. Framebuffer bytes and all virtual-time figures are
-// bit-identical either way; only host scheduling changes. The default
-// comes from GLES2GPGPU_NO_TILING (tiling on unless set).
-func (c *Context) SetTiling(on bool) { c.tiling = on }
-
-// Tiling reports whether the tile-binned fragment engine is selected.
-func (c *Context) Tiling() bool { return c.tiling }
-
-// SetTileSize sets the square tile edge length of the tiled fragment
-// engine. n <= 0 restores DefaultTileSize.
-func (c *Context) SetTileSize(n int) {
-	if n <= 0 {
-		n = DefaultTileSize
-	}
-	c.tileSize = n
-}
-
-// TileSize returns the configured tile edge length.
-func (c *Context) TileSize() int { return c.tileSize }
-
 // SetLanes selects the lane-batched (SoA) shader engine for eligible
 // draws: straight-line fragment programs run batches of LaneWidth
 // fragments through each instruction at once (see internal/shader/lanes.go),
@@ -528,7 +504,7 @@ func (c *Context) LaneFallbackDraws() int64 { return c.laneFallbackDraws }
 // bytes instead of re-shading (see coherence.go). Framebuffer bytes,
 // Cycles/TexFetches and every virtual-time figure are bit-identical either
 // way — elided tiles still contribute their cached modelled cost — so this
-// is a host-time knob like SetTiling. Turning it off also drops the cached
+// is a host-time knob like SetJIT. Turning it off also drops the cached
 // snapshots. The default comes from DefaultCoherence (on, unless
 // GLES2GPGPU_NO_COHERENCE is set).
 func (c *Context) SetCoherence(on bool) {

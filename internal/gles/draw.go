@@ -167,18 +167,14 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 		c.fsEnv = shader.NewEnv(fp)
 		c.envProg = p
 	}
-	vsEnv, fsEnv := c.vsEnv, c.fsEnv
+	vsEnv := c.vsEnv
 	vsEnv.Uniforms = p.vsUniforms
-	fsEnv.Uniforms = p.fsUniforms
 	// Draw-time sampler specialization: per-slot fetch functions resolved
 	// once, with the generic closure retained for out-of-range slots.
 	texFns := specializeSamplers(samplers)
-	fsEnv.Samplers = texFns
-	fsEnv.Sample = envSampler(samplers)
+	sample := envSampler(samplers)
 
-	cost := &c.prof.CostModel
-	execVS := shader.Executor(vp, cost, c.jit, c.passes)
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
+	execVS := shader.Executor(vp, &c.prof.CostModel, c.jit, c.passes)
 
 	// Masked-lane adoption signal: count draws that wanted lane-batched
 	// shading but must run per-fragment (glslint's mask-fallback finding
@@ -238,7 +234,7 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	}
 
 	if mode == POINTS {
-		return c.rasterizePoints(p, tgt, verts, pointSizes, samplers)
+		return c.rasterizePoints(p, tgt, verts, pointSizes, texFns, sample)
 	}
 
 	// Primitive assembly.
@@ -267,9 +263,9 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 		vpW, vpH = tgt.w, tgt.h
 	}
 
-	// Triangle setup up front: the parallel path needs the full primitive
-	// list (each band worker walks every triangle in submission order), and
-	// the bounding-box areas give the fragment estimate that gates it.
+	// Triangle setup up front: the tile walk bins the full primitive list,
+	// and the bounding-box areas give the fragment estimate that gates
+	// parallel shading.
 	setups := make([]raster.Triangle, 0, len(tris))
 	var estFrags int64
 	for _, tri := range tris {
@@ -281,99 +277,23 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 		estFrags += int64(x1-x0+1) * int64(y1-y0+1)
 		setups = append(setups, t)
 	}
-	// Cross-iteration tile coherence: eligible repeated draws elide tiles
-	// whose sampled inputs are byte-identical to the previous iteration
-	// (see coherence.go). Works at any worker count — unlike the parallel
-	// paths it pays for itself through elision, not load balancing.
-	if c.coherentEligible(fp, tgt, samplers) {
-		if st, ok := c.shadeTrianglesCoherent(p, tgt, setups, vpX, vpY, samplers); ok {
-			return st
-		}
-	}
-	if c.parallelEligible(fp, estFrags) {
-		if c.tiling {
-			if st, ok := c.shadeTrianglesTiled(p, tgt, setups, vpX, vpY, samplers, texFns); ok {
-				return st
-			}
-		}
-		if st, ok := c.shadeTrianglesParallel(p, tgt, setups, vpX, vpY, samplers, texFns); ok {
-			return st
-		}
-	}
-
-	// Lane-batched serial shading: straight-line programs gather batches of
-	// laneWidth fragments and run them through the SoA engine (lanes.go).
-	// The rasteriser walk and the scatter order are unchanged, so the
-	// framebuffer bytes and counters are bit-identical to the scalar loop.
-	if lc := c.laneCompiledFor(fp); lc != nil {
-		ls := c.newLaneShader(lc, c.fsLanePoolFor(fp), p, tgt, texFns, fsEnv.Sample)
-		for ti := range setups {
-			setups[ti].Rasterize(func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-				px, py := vpX+x, vpY+y
-				if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-					return
-				}
-				ls.add(px, py, fc, varyings)
-			})
-		}
-		bs := ls.finish()
-		return drawStats{valid: true, fragments: bs.fragments, cycles: bs.cycles, texFetches: bs.texFetches}
-	}
-
-	st := drawStats{valid: true}
-	startCycles := fsEnv.Cycles
-	startTex := fsEnv.TexFetches
-	fcReg := p.fragCoordReg
-	mask := c.colorMask
-	// The gl_FragColor register is draw-invariant: resolve the map lookup
-	// once instead of per fragment.
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-
-	for ti := range setups {
-		setups[ti].Rasterize(func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-			px, py := vpX+x, vpY+y
-			if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-				return
-			}
-			fsEnv.Discarded = false
-			for reg, v := range varyings {
-				fsEnv.Inputs[reg] = v
-			}
-			if fcReg >= 0 {
-				fsEnv.Inputs[fcReg] = fc
-			}
-			if err := execFS(fsEnv); err != nil {
-				return
-			}
-			st.fragments++
-			if fsEnv.Discarded || !hasOut {
-				return
-			}
-			col := fsEnv.Outputs[out.Reg]
-			c.writePixel(tgt.pixels, (py*tgt.w+px)*4, col, mask)
-		})
-	}
-	st.cycles = fsEnv.Cycles - startCycles
-	st.texFetches = fsEnv.TexFetches - startTex
-	return st
+	return c.shadeTriangles(p, tgt, setups, vpX, vpY, samplers, texFns, sample, estFrags)
 }
 
 // rasterizePoints renders GL_POINTS: each vertex covers a PointSize-sized
 // square of fragments with flat (uninterpolated) varyings and a
 // gl_PointCoord sweeping the square — the classic GPGPU *scatter*
-// primitive on ES2-class hardware.
-func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.Vertex, sizes []float32, samplers []*Texture) drawStats {
-	fp := p.fsProg
-	fsEnv := c.fsEnv
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
+// primitive on ES2-class hardware. Points shade in submission order on one
+// worker, or split across workers in contiguous runs when their pixel
+// rects are pairwise disjoint (see parallel.go).
+func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.Vertex, sizes []float32, texFns []shader.TexFunc, sample shader.SampleFunc) drawStats {
 	vpX, vpY, vpW, vpH := c.viewport[0], c.viewport[1], c.viewport[2], c.viewport[3]
 	if vpW == 0 || vpH == 0 {
 		vpW, vpH = tgt.w, tgt.h
 	}
 
-	// Precompute each point's raster footprint; the parallel path needs the
-	// full list to prove the rects pairwise disjoint before partitioning.
+	// Precompute each point's raster footprint; the parallel split needs
+	// the full list to prove the rects pairwise disjoint.
 	rects := make([]pointRect, 0, len(verts))
 	var estFrags int64
 	for vi := range verts {
@@ -400,60 +320,51 @@ func (c *Context) rasterizePoints(p *Program, tgt renderTarget, verts []raster.V
 			vi: vi, x0: x0, y0: y0, n: n, sx: sx, sy: sy, size: size, invW: 1 / w,
 		})
 	}
-	if c.parallelEligible(fp, estFrags) && len(rects) >= 2 &&
+	nw := 1
+	if c.parallelEligible(p.fsProg, estFrags) && len(rects) >= 2 &&
 		c.pointRectsDisjoint(rects, tgt, vpX, vpY, vpW, vpH) {
-		return c.shadePointsParallel(p, tgt, verts, rects, vpX, vpY, vpW, vpH, samplers, fsEnv.Samplers)
+		nw = min(c.workers, len(rects))
 	}
 
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	st := drawStats{valid: true}
-	startCycles := fsEnv.Cycles
-	startTex := fsEnv.TexFetches
-	mask := c.colorMask
-
-	for ri := range rects {
-		r := &rects[ri]
-		v := &verts[r.vi]
-		sx, sy, size := r.sx, r.sy, r.size
-		half := size / 2
-		x0, y0, n := r.x0, r.y0, r.n
-		w := v.Pos[3]
-		for py := y0; py < y0+n; py++ {
-			for px := x0; px < x0+n; px++ {
-				tx, ty := vpX+px, vpY+py
-				if tx < 0 || ty < 0 || tx >= tgt.w || ty >= tgt.h || px < 0 || py < 0 || px >= vpW || py >= vpH {
-					continue
-				}
-				fsEnv.Discarded = false
-				for reg := 0; reg < v.NumVar; reg++ {
-					fsEnv.Inputs[reg] = v.Varyings[reg] // flat varyings
-				}
-				if p.fragCoordReg >= 0 {
-					fsEnv.Inputs[p.fragCoordReg] = shader.Vec4{
-						float32(px) + 0.5, float32(py) + 0.5, 0.5, 1 / w,
+	proto := c.newFragSink(p, tgt, sample)
+	per := (len(rects) + nw - 1) / nw
+	results := make([]drawStats, nw)
+	c.runWorkers(nw, func(wi int) {
+		sink := proto.open(texFns)
+		lo, hi := wi*per, min((wi+1)*per, len(rects))
+		for ri := lo; ri < hi; ri++ {
+			r := &rects[ri]
+			v := &verts[r.vi]
+			// Flat varyings, with gl_PointCoord written into its own
+			// input register per fragment.
+			in := v.Varyings
+			x0 := r.sx - r.size/2
+			y0 := r.sy - r.size/2
+			for py := r.y0; py < r.y0+r.n; py++ {
+				for px := r.x0; px < r.x0+r.n; px++ {
+					tx, ty := vpX+px, vpY+py
+					if tx < 0 || ty < 0 || tx >= tgt.w || ty >= tgt.h || px < 0 || py < 0 || px >= vpW || py >= vpH {
+						continue
 					}
-				}
-				if p.pointCoordReg >= 0 {
-					fsEnv.Inputs[p.pointCoordReg] = shader.Vec4{
-						float32((float64(px) + 0.5 - (sx - half)) / size),
-						float32((float64(py) + 0.5 - (sy - half)) / size),
-						0, 0,
+					if p.pointCoordReg >= 0 {
+						in[p.pointCoordReg] = shader.Vec4{
+							float32((float64(px) + 0.5 - x0) / r.size),
+							float32((float64(py) + 0.5 - y0) / r.size),
+							0, 0,
+						}
 					}
+					fc := shader.Vec4{float32(px) + 0.5, float32(py) + 0.5, 0.5, r.invW}
+					sink.add(tx, ty, fc, in[:v.NumVar])
 				}
-				if err := execFS(fsEnv); err != nil {
-					return st
-				}
-				st.fragments++
-				if fsEnv.Discarded || !hasOut {
-					continue
-				}
-				col := fsEnv.Outputs[out.Reg]
-				c.writePixel(tgt.pixels, (ty*tgt.w+tx)*4, col, mask)
 			}
 		}
+		results[wi] = sink.finish()
+	})
+
+	st := drawStats{valid: true}
+	for _, r := range results {
+		st.add(r)
 	}
-	st.cycles = fsEnv.Cycles - startCycles
-	st.texFetches = fsEnv.TexFetches - startTex
 	return st
 }
 

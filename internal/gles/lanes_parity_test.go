@@ -10,7 +10,7 @@ import (
 
 // Lane-batched execution parity: the full execution-strategy matrix
 // {interpreter, per-fragment JIT, lane-batched, divergence-masked} ×
-// {serial, 4 workers} × {band, tiled} must produce byte-identical
+// {serial, 4 workers} must produce byte-identical
 // framebuffers and bit-identical fragment/cycle/TexFetch counters. The
 // "lanes" rows pin masked execution OFF so they exercise the pure
 // straight-line engine with its per-fragment fallback; the "masked" rows
@@ -22,15 +22,11 @@ import (
 type laneCfg struct {
 	engine  string // "interp", "jit", "lanes" or "masked"
 	workers int
-	tiling  bool
 	width   int // lane width; 0 means the default (lane engines only)
 }
 
 func (c laneCfg) name() string {
 	n := fmt.Sprintf("%s-w%d", c.engine, c.workers)
-	if c.tiling {
-		n += "-tiled"
-	}
 	if c.width != 0 {
 		n += fmt.Sprintf("-lw%d", c.width)
 	}
@@ -44,7 +40,6 @@ func runScenarioLanes(t *testing.T, c laneCfg, w, h int, scenario func(gl *Conte
 	env := newEnv(t, device.Generic(), w, h, false)
 	gl := env.gl
 	gl.SetWorkers(c.workers)
-	gl.SetTiling(c.tiling)
 	switch c.engine {
 	case "interp":
 		gl.SetJIT(false)
@@ -89,12 +84,10 @@ func expectLaneParity(t *testing.T, w, h int, scenario func(gl *Context) uint32)
 	var cfgs []laneCfg
 	for _, engine := range []string{"interp", "jit", "lanes", "masked"} {
 		for _, workers := range []int{1, 4} {
-			for _, tiling := range []bool{false, true} {
-				if engine == "interp" && workers == 1 && !tiling {
-					continue // the reference itself
-				}
-				cfgs = append(cfgs, laneCfg{engine: engine, workers: workers, tiling: tiling})
+			if engine == "interp" && workers == 1 {
+				continue // the reference itself
 			}
+			cfgs = append(cfgs, laneCfg{engine: engine, workers: workers})
 		}
 	}
 	// Non-default widths, including ones that do not divide typical
@@ -102,9 +95,9 @@ func expectLaneParity(t *testing.T, w, h int, scenario func(gl *Context) uint32)
 	for _, width := range []int{2, 5, 16} {
 		cfgs = append(cfgs,
 			laneCfg{engine: "lanes", workers: 1, width: width},
-			laneCfg{engine: "lanes", workers: 4, tiling: true, width: width},
+			laneCfg{engine: "lanes", workers: 4, width: width},
 			laneCfg{engine: "masked", workers: 1, width: width},
-			laneCfg{engine: "masked", workers: 4, tiling: true, width: width})
+			laneCfg{engine: "masked", workers: 4, width: width})
 	}
 	for _, c := range cfgs {
 		got := runScenarioLanes(t, c, w, h, scenario)
@@ -130,8 +123,8 @@ func expectLaneParity(t *testing.T, w, h int, scenario func(gl *Context) uint32)
 
 // TestLaneParityTexturedQuad: a texturing straight-line kernel — the shape
 // of every lane-eligible GPGPU kernel — across the whole matrix. 64×64
-// coverage reaches the parallel gate, so band and tiled cells genuinely
-// shade on workers.
+// coverage reaches the parallel gate, so 4-worker cells genuinely shade
+// on workers.
 func TestLaneParityTexturedQuad(t *testing.T) {
 	const n = 64
 	expectLaneParity(t, n, n, func(gl *Context) uint32 {
@@ -215,6 +208,69 @@ void main() {
 		gl.UseProgram(p)
 		drawQuad(t, gl, p)
 		return p
+	})
+}
+
+// TestLaneParityPoints: GL_POINTS shade through the same sink as
+// triangles, so with lanes on, point fragments run lane-batched. Disjoint
+// points split across workers; overlapping points with additive blending
+// (the histogram scatter idiom) stay on one worker, where gather-order
+// scatter must reproduce the serial blend sequence of every pixel.
+func TestLaneParityPoints(t *testing.T) {
+	const n = 128
+	pointsVS := `
+attribute vec2 a_pos;
+uniform float u_size;
+varying vec2 v_val;
+void main() {
+	gl_Position = vec4(a_pos, 0.0, 1.0);
+	gl_PointSize = u_size;
+	v_val = a_pos * 0.5 + 0.5;
+}`
+	pointsFS := `
+precision mediump float;
+varying vec2 v_val;
+void main() { gl_FragColor = vec4(v_val * 0.02, fract(v_val.x * 13.0) * 0.02, gl_PointCoord.y * 0.03); }`
+	draw := func(gl *Context, size float32, verts []float32, blend bool) uint32 {
+		p := buildProgram(t, gl, pointsVS, pointsFS)
+		if gl.Lanes() && gl.JIT() && gl.laneCompiledFor(gl.programs[p].fsProg) == nil {
+			t.Fatal("points program is not lane-eligible: the lane cells would not run lanes")
+		}
+		if blend {
+			gl.Enable(BLEND)
+			gl.BlendFunc(ONE, ONE)
+		}
+		gl.UseProgram(p)
+		gl.Uniform1f(gl.GetUniformLocation(p, "u_size"), size)
+		loc := gl.GetAttribLocation(p, "a_pos")
+		gl.EnableVertexAttribArray(loc)
+		gl.VertexAttribPointerClient(loc, 2, verts, 0, 0)
+		gl.DrawArrays(POINTS, 0, len(verts)/2)
+		return p
+	}
+	t.Run("disjoint", func(t *testing.T) {
+		// A 64×64 grid of size-1 points at every other pixel: pairwise
+		// disjoint, 4096 fragments, so the 4-worker cells split the points.
+		var verts []float32
+		for y := 0; y < 64; y++ {
+			for x := 0; x < 64; x++ {
+				verts = append(verts,
+					(2*float32(x)+0.5)/n*2-1,
+					(2*float32(y)+0.5)/n*2-1)
+			}
+		}
+		expectLaneParity(t, n, n, func(gl *Context) uint32 { return draw(gl, 1, verts, false) })
+	})
+	t.Run("overlapping-blend-one-one", func(t *testing.T) {
+		// 2048 size-3 points over 37 columns of one row band: many hits per
+		// pixel, several within one lane batch.
+		var verts []float32
+		for i := 0; i < 2048; i++ {
+			x := float32(i%37)*2 + 20
+			y := float32(i%5) + 60
+			verts = append(verts, (x+0.5)/n*2-1, (y+0.5)/n*2-1)
+		}
+		expectLaneParity(t, n, n, func(gl *Context) uint32 { return draw(gl, 3, verts, true) })
 	})
 }
 

@@ -7,20 +7,19 @@ package gles
 // can be spread over OS threads as long as the results stay bit-identical
 // to serial execution:
 //
-//   - Triangles are shaded in horizontal bands (raster.Bands). Every band
-//     worker walks ALL primitives in submission order, clipped to its own
-//     disjoint row range, so the per-pixel sequence of shades and blends is
-//     exactly the serial one restricted to that pixel. This keeps even
-//     overlapping, blending triangles exact.
+//   - Triangles are shaded by the tile walk (tiled.go): workers claim
+//     screen tiles, and each tile walks all its triangles in submission
+//     order, so the per-pixel sequence of shades and blends is exactly the
+//     serial one.
 //   - Points are partitioned across workers only when their pixel rects are
 //     pairwise disjoint (checked with a coverage bitmap); each pixel is then
 //     written at most once and ordering is irrelevant. Overlapping points —
-//     the scatter-add histogram idiom — fall back to serial.
+//     the scatter-add histogram idiom — shade on one worker.
 //
-// Both paths require the fragment program to be proven independent of
-// residual Env state (Program.WritesBeforeReads, so per-worker Envs cannot
-// diverge from the serially reused one) and to write its outputs on every
-// path (Program.OutputsAlwaysWritten, so the externally read gl_FragColor
+// Both require the fragment program to be proven independent of residual
+// Env state (Program.WritesBeforeReads, so per-worker Envs cannot diverge
+// from the serially reused one) and to write its outputs on every path
+// (Program.OutputsAlwaysWritten, so the externally read gl_FragColor
 // cannot leak a previous fragment's value). Cycle and texture-fetch
 // counters are int64 sums over fragments, so per-worker subtotals merged by
 // addition reproduce the serial totals exactly; virtual-time results are
@@ -32,7 +31,6 @@ import (
 	"strconv"
 	"sync"
 
-	"gles2gpgpu/internal/raster"
 	"gles2gpgpu/internal/shader"
 )
 
@@ -112,11 +110,24 @@ func (p *workerPool) shutdown() {
 	p.done.Wait()
 }
 
-func (c *Context) ensurePool() *workerPool {
+// runWorkers runs walk(0..n-1), one call per worker: inline on the draw
+// goroutine when n <= 1, else on the lazily started pool.
+func (c *Context) runWorkers(n int, walk func(wi int)) {
+	if n <= 1 {
+		for wi := 0; wi < n; wi++ {
+			walk(wi)
+		}
+		return
+	}
 	if c.pool == nil {
 		c.pool = newWorkerPool(c.workers)
 	}
-	return c.pool
+	fns := make([]func(), n)
+	for wi := range fns {
+		wi := wi
+		fns[wi] = func() { walk(wi) }
+	}
+	c.pool.run(fns)
 }
 
 // fsPool returns the Env pool for the current fragment program, recreating
@@ -129,23 +140,15 @@ func (c *Context) fsPool(fp *shader.Program) *shader.EnvPool {
 }
 
 // parallelEligible reports whether a draw with the given fragment program
-// and estimated fragment count may take a parallel path.
+// and estimated fragment count may shade on more than one worker.
 func (c *Context) parallelEligible(fp *shader.Program, estFrags int64) bool {
-	return c.workers >= 2 &&
-		fp.WritesBeforeReads && fp.OutputsAlwaysWritten &&
-		estFrags >= parallelMinFragments
+	return c.workers >= 2 && proven(fp) && estFrags >= parallelMinFragments
 }
 
-// bandStats is one worker's share of the draw measurement.
-type bandStats struct {
-	fragments  int64
-	cycles     int64
-	texFetches int64
-}
-
-// envSampler builds the texture-sampling closure for one worker Env.
-// sampleTexture only reads texture state, so sharing samplers across
-// workers is safe.
+// envSampler builds a draw's generic texture-sampling closure, which
+// shaders consult only for slots without a specialised fetch function.
+// sampleTexture only reads texture state, so sharing it across workers is
+// safe.
 func envSampler(samplers []*Texture) shader.SampleFunc {
 	return func(idx int, u, v float32) shader.Vec4 {
 		if idx < 0 || idx >= len(samplers) {
@@ -153,114 +156,6 @@ func envSampler(samplers []*Texture) shader.SampleFunc {
 		}
 		return shader.Vec4(sampleTexture(samplers[idx], u, v))
 	}
-}
-
-// shadeTrianglesParallel shades set-up triangles in disjoint horizontal
-// bands, one worker per band. Returns ok=false when banding yields fewer
-// than two bands (degenerate row ranges), in which case the caller shades
-// serially. VM errors (compiler bugs) abort the failing band's remaining
-// fragments only, mirroring the serial path's skip-fragment behaviour.
-func (c *Context) shadeTrianglesParallel(p *Program, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc) (drawStats, bool) {
-	minY, maxY := int(^uint(0)>>1), -int(^uint(0)>>1)-1
-	for i := range setups {
-		_, y0, _, y1 := setups[i].Bounds()
-		if y0 < minY {
-			minY = y0
-		}
-		if y1 > maxY {
-			maxY = y1
-		}
-	}
-	bands := raster.Bands(minY, maxY, c.workers)
-	if len(bands) < 2 {
-		return drawStats{}, false
-	}
-
-	fp := p.fsProg
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	fcReg := p.fragCoordReg
-	mask := c.colorMask
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
-	pool := c.fsPool(fp)
-	sample := envSampler(samplers)
-	// Lane-batched band shading: resolved on the draw goroutine (the pool
-	// field is per-Context state), then shared read-only by the workers.
-	lcfg := c.laneCompiledFor(fp)
-	var lanePool *shader.LaneEnvPool
-	if lcfg != nil {
-		lanePool = c.fsLanePoolFor(fp)
-	}
-
-	results := make([]bandStats, len(bands))
-	fns := make([]func(), len(bands))
-	for bi := range bands {
-		bi := bi
-		b := bands[bi]
-		fns[bi] = func() {
-			if lcfg != nil {
-				// Batches may span triangles within this band's walk; scatter
-				// order equals gather order, so each pixel's shade/blend
-				// sequence matches the scalar band path.
-				ls := c.newLaneShader(lcfg, lanePool, p, tgt, texFns, sample)
-				for ti := range setups {
-					t := &setups[ti]
-					tx0, _, tx1, _ := t.Bounds()
-					t.RasterizeRect(tx0, b[0], tx1, b[1], func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-						px, py := vpX+x, vpY+y
-						if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-							return
-						}
-						ls.add(px, py, fc, varyings)
-					})
-				}
-				results[bi] = ls.finish()
-				return
-			}
-			env := pool.Get()
-			env.Uniforms = p.fsUniforms
-			env.Sample = sample
-			env.Samplers = texFns
-			startCycles, startTex := env.Cycles, env.TexFetches
-			var frags int64
-			for ti := range setups {
-				t := &setups[ti]
-				tx0, _, tx1, _ := t.Bounds()
-				t.RasterizeRect(tx0, b[0], tx1, b[1], func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-					px, py := vpX+x, vpY+y
-					if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-						return
-					}
-					env.Discarded = false
-					for reg, v := range varyings {
-						env.Inputs[reg] = v
-					}
-					if fcReg >= 0 {
-						env.Inputs[fcReg] = fc
-					}
-					if err := execFS(env); err != nil {
-						return
-					}
-					frags++
-					if env.Discarded || !hasOut {
-						return
-					}
-					c.writePixel(tgt.pixels, (py*tgt.w+px)*4, env.Outputs[out.Reg], mask)
-				})
-			}
-			results[bi] = bandStats{frags, env.Cycles - startCycles, env.TexFetches - startTex}
-			pool.Put(env)
-		}
-	}
-	c.ensurePool().run(fns)
-
-	st := drawStats{valid: true}
-	for _, r := range results {
-		st.fragments += r.fragments
-		st.cycles += r.cycles
-		st.texFetches += r.texFetches
-	}
-	return st, true
 }
 
 // pointRect is the precomputed raster footprint of one point sprite.
@@ -302,90 +197,4 @@ func (c *Context) pointRectsDisjoint(rects []pointRect, tgt renderTarget, vpX, v
 		}
 	}
 	return true
-}
-
-// shadePointsParallel shades point sprites with pairwise-disjoint rects,
-// partitioning the points across workers. Every pixel is written at most
-// once, so ordering between workers is irrelevant and blending reads a
-// pristine destination exactly as serial execution would.
-func (c *Context) shadePointsParallel(p *Program, tgt renderTarget, verts []raster.Vertex, rects []pointRect, vpX, vpY, vpW, vpH int, samplers []*Texture, texFns []shader.TexFunc) drawStats {
-	fp := p.fsProg
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	mask := c.colorMask
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
-	pool := c.fsPool(fp)
-	sample := envSampler(samplers)
-
-	nw := c.workers
-	if nw > len(rects) {
-		nw = len(rects)
-	}
-	results := make([]bandStats, nw)
-	fns := make([]func(), nw)
-	per := (len(rects) + nw - 1) / nw
-	for wi := 0; wi < nw; wi++ {
-		wi := wi
-		lo := wi * per
-		hi := lo + per
-		if hi > len(rects) {
-			hi = len(rects)
-		}
-		fns[wi] = func() {
-			env := pool.Get()
-			env.Uniforms = p.fsUniforms
-			env.Sample = sample
-			env.Samplers = texFns
-			startCycles, startTex := env.Cycles, env.TexFetches
-			var frags int64
-		points:
-			for ri := lo; ri < hi; ri++ {
-				r := &rects[ri]
-				v := &verts[r.vi]
-				for py := r.y0; py < r.y0+r.n; py++ {
-					for px := r.x0; px < r.x0+r.n; px++ {
-						tx, ty := vpX+px, vpY+py
-						if tx < 0 || ty < 0 || tx >= tgt.w || ty >= tgt.h || px < 0 || py < 0 || px >= vpW || py >= vpH {
-							continue
-						}
-						env.Discarded = false
-						for reg := 0; reg < v.NumVar; reg++ {
-							env.Inputs[reg] = v.Varyings[reg]
-						}
-						if p.fragCoordReg >= 0 {
-							env.Inputs[p.fragCoordReg] = shader.Vec4{
-								float32(px) + 0.5, float32(py) + 0.5, 0.5, r.invW,
-							}
-						}
-						if p.pointCoordReg >= 0 {
-							env.Inputs[p.pointCoordReg] = shader.Vec4{
-								float32((float64(px) + 0.5 - (r.sx - r.size/2)) / r.size),
-								float32((float64(py) + 0.5 - (r.sy - r.size/2)) / r.size),
-								0, 0,
-							}
-						}
-						if err := execFS(env); err != nil {
-							break points // VM bug: abort this worker's share
-						}
-						frags++
-						if env.Discarded || !hasOut {
-							continue
-						}
-						c.writePixel(tgt.pixels, (ty*tgt.w+tx)*4, env.Outputs[out.Reg], mask)
-					}
-				}
-			}
-			results[wi] = bandStats{frags, env.Cycles - startCycles, env.TexFetches - startTex}
-			pool.Put(env)
-		}
-	}
-	c.ensurePool().run(fns)
-
-	st := drawStats{valid: true}
-	for _, r := range results {
-		st.fragments += r.fragments
-		st.cycles += r.cycles
-		st.texFetches += r.texFetches
-	}
-	return st
 }

@@ -102,7 +102,7 @@ void main() {
 }
 
 func TestParallelOverlappingBlendedTrianglesParity(t *testing.T) {
-	// Two overlapping quads inside one draw with additive blending: band
+	// Two overlapping quads inside one draw with additive blending: tile
 	// partitioning must preserve the per-pixel blend order exactly.
 	const n = 128
 	expectParity(t, n, n, func(gl *Context) uint32 {

@@ -1,26 +1,42 @@
 package gles
 
-// Tile-binned fragment shading.
+// The triangle tile walk: the one way the engine shades triangles.
 //
 // The paper's platforms (VideoCore IV, PowerVR SGX) are tile-based
 // deferred renderers: the hardware bins primitives into fixed-size screen
 // tiles and shades tile-by-tile so the working set of framebuffer writes
-// and texture reads stays on-chip. This file gives the host engine the
-// same traversal. Triangles are binned once per draw into tileSize²-pixel
+// and texture reads stays on-chip. The host engine uses the same
+// traversal. Triangles are binned once per draw into tileSize²-pixel
 // tiles, the non-empty tiles are compacted into a work list, and workers
-// claim tiles off an atomic counter — finishing a cheap tile immediately
-// frees a worker for the next, so load balance no longer depends on
-// fragment work being spread evenly across horizontal bands.
+// claim tiles off an atomic counter, each shading its tiles through one
+// fragSink (sink.go) — finishing a cheap tile immediately frees a worker
+// for the next.
 //
-// Bit-identity follows the same argument as band shading (see
-// parallel.go): every pixel belongs to exactly one tile, each tile walks
-// ALL triangles overlapping it in submission order, so the per-pixel
+// The dispatch rule is computed from the draw, never from an option:
+//
+//   - An unproven fragment program (no WritesBeforeReads +
+//     OutputsAlwaysWritten proofs) may observe residual Env state, so it
+//     walks one tile over the whole target with one worker on the
+//     context's own fsEnv. RasterizeRect clips to each triangle's bounds,
+//     so that is exactly the serial submission-order walk.
+//   - A proven program walks DefaultTileSize tiles on
+//     min(workers, tiles to shade) workers, or one worker when the draw
+//     is estimated below parallelMinFragments (fan-out and joins would
+//     cost more than they save).
+//   - Coherence (coherence.go) is a per-draw flag plus a per-tile decision:
+//     before the walk, tiles whose cached inputs match are replayed and
+//     dropped from the work list; during it, workers sample through
+//     footprint-tracking samplers and snapshot each tile they finish;
+//     after it, the snapshots are merged into the cache.
+//
+// Bit-identity: every pixel belongs to exactly one tile, and each tile
+// walks ALL triangles overlapping it in submission order, so the per-pixel
 // sequence of shades and blends is exactly the serial one restricted to
 // that pixel. Fragment ORDER across pixels differs from serial, which is
-// why the tiled path sits behind the same parallelEligible gate
-// (WritesBeforeReads + OutputsAlwaysWritten prove fragments independent).
-// Counters are int64 sums over fragments, so per-worker subtotals merged
-// by addition reproduce the serial totals at any tile size.
+// why only proven programs (whose fragments are independent) walk more
+// than one tile. Counters are int64 sums over fragments, so per-worker
+// subtotals merged by addition reproduce the serial totals at any tile
+// size and worker count.
 
 import (
 	"sync/atomic"
@@ -126,113 +142,69 @@ func binTiles(setups []raster.Triangle, tileSize int) []tileBin {
 	return tiles
 }
 
-// shadeTrianglesTiled shades set-up triangles tile-by-tile, workers
-// claiming tiles off an atomic counter. Returns ok=false when binning
-// yields fewer than two non-empty tiles — there is nothing to balance, so
-// the caller falls through to band or serial shading.
-func (c *Context) shadeTrianglesTiled(p *Program, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc) (drawStats, bool) {
-	tiles := binTiles(setups, c.tileSize)
-	if len(tiles) < 2 {
-		return drawStats{}, false
-	}
+// serialTileSize is a tile edge no target reaches: binning with it yields
+// one tile over the joint bounding box of the draw.
+const serialTileSize = 1 << 30
 
+// shadeTriangles shades set-up triangles with the tile walk described in
+// the file comment and returns the draw measurement.
+func (c *Context) shadeTriangles(p *Program, tgt renderTarget, setups []raster.Triangle, vpX, vpY int, samplers []*Texture, texFns []shader.TexFunc, sample shader.SampleFunc, estFrags int64) drawStats {
 	fp := p.fsProg
-	out, hasOut := fp.LookupOutput("gl_FragColor")
-	fcReg := p.fragCoordReg
-	mask := c.colorMask
-	cost := &c.prof.CostModel
-	execFS := shader.Executor(fp, cost, c.jit, c.passes)
-	pool := c.fsPool(fp)
-	sample := envSampler(samplers)
-	// Lane-batched tile shading: resolved on the draw goroutine (the pool
-	// field is per-Context state), then shared read-only by the workers.
-	lcfg := c.laneCompiledFor(fp)
-	var lanePool *shader.LaneEnvPool
-	if lcfg != nil {
-		lanePool = c.fsLanePoolFor(fp)
+	tileSize := c.tileSize
+	if !proven(fp) {
+		tileSize = serialTileSize
 	}
-
-	nw := c.workers
-	if nw > len(tiles) {
-		nw = len(tiles)
-	}
-	var next int64
-	results := make([]bandStats, nw)
-	fns := make([]func(), nw)
-	for wi := 0; wi < nw; wi++ {
-		wi := wi
-		fns[wi] = func() {
-			if lcfg != nil {
-				// Batches may span triangles and tiles within this worker's
-				// walk; scatter order equals gather order, so each pixel's
-				// shade/blend sequence matches the scalar tiled path.
-				ls := c.newLaneShader(lcfg, lanePool, p, tgt, texFns, sample)
-				for {
-					ti := int(atomic.AddInt64(&next, 1)) - 1
-					if ti >= len(tiles) {
-						break
-					}
-					tile := &tiles[ti]
-					for _, tri := range tile.tris {
-						setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-							px, py := vpX+x, vpY+y
-							if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-								return
-							}
-							ls.add(px, py, fc, varyings)
-						})
-					}
-				}
-				results[wi] = ls.finish()
-				return
-			}
-			env := pool.Get()
-			env.Uniforms = p.fsUniforms
-			env.Sample = sample
-			env.Samplers = texFns
-			startCycles, startTex := env.Cycles, env.TexFetches
-			var frags int64
-			for {
-				ti := int(atomic.AddInt64(&next, 1)) - 1
-				if ti >= len(tiles) {
-					break
-				}
-				tile := &tiles[ti]
-				for _, tri := range tile.tris {
-					setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
-						px, py := vpX+x, vpY+y
-						if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
-							return
-						}
-						env.Discarded = false
-						for reg, v := range varyings {
-							env.Inputs[reg] = v
-						}
-						if fcReg >= 0 {
-							env.Inputs[fcReg] = fc
-						}
-						if err := execFS(env); err != nil {
-							return
-						}
-						frags++
-						if env.Discarded || !hasOut {
-							return
-						}
-						c.writePixel(tgt.pixels, (py*tgt.w+px)*4, env.Outputs[out.Reg], mask)
-					})
-				}
-			}
-			results[wi] = bandStats{frags, env.Cycles - startCycles, env.TexFetches - startTex}
-			pool.Put(env)
-		}
-	}
-	c.ensurePool().run(fns)
+	tiles := binTiles(setups, tileSize)
 
 	st := drawStats{valid: true}
-	for _, r := range results {
-		st.fragments += r.fragments
-		st.cycles += r.cycles
-		st.texFetches += r.texFetches
+	var coh *cohWalk
+	if c.coherentEligible(fp, tgt, samplers, len(tiles)) {
+		coh, tiles = c.cohBegin(p, tgt, setups, tiles, vpX, vpY, samplers, &st)
 	}
-	return st, true
+
+	nw := min(1, len(tiles))
+	if c.parallelEligible(fp, estFrags) {
+		nw = min(c.workers, len(tiles))
+	}
+	proto := c.newFragSink(p, tgt, sample)
+	var next int64
+	results := make([]drawStats, nw)
+	c.runWorkers(nw, func(wi int) {
+		fns, tr := texFns, (*cohTracker)(nil)
+		if coh != nil {
+			fns, tr = coh.workerSamplers()
+		}
+		sink := proto.open(fns)
+		emit := func(x, y int, fc shader.Vec4, varyings []shader.Vec4) {
+			px, py := vpX+x, vpY+y
+			if px < 0 || py < 0 || px >= tgt.w || py >= tgt.h {
+				return
+			}
+			sink.add(px, py, fc, varyings)
+		}
+		for {
+			ti := int(atomic.AddInt64(&next, 1)) - 1
+			if ti >= len(tiles) {
+				results[wi] = sink.finish()
+				return
+			}
+			tile := &tiles[ti]
+			if coh != nil {
+				coh.beginTile(ti, tile, vpX, vpY, sink, tr)
+			}
+			for _, tri := range tile.tris {
+				setups[tri].RasterizeRect(tile.x0, tile.y0, tile.x1, tile.y1, emit)
+			}
+			if coh != nil {
+				coh.endTile(ti, tile, sink, tr)
+			}
+		}
+	})
+	for _, r := range results {
+		st.add(r)
+	}
+	if coh != nil {
+		coh.store(tiles)
+	}
+	return st
 }

@@ -8,15 +8,14 @@ import (
 	"gles2gpgpu/internal/raster"
 )
 
-// runScenarioTiled runs a scenario with an explicit shading-engine choice:
-// tiling on/off, tile size, worker count and backend.
-func runScenarioTiled(t *testing.T, workers int, tiling bool, tileSize int, jit bool, w, h int, scenario func(gl *Context) uint32) drawOutcome {
+// runScenarioTiled runs a scenario with an explicit tile walk: tile size,
+// worker count and backend.
+func runScenarioTiled(t *testing.T, workers, tileSize int, jit bool, w, h int, scenario func(gl *Context) uint32) drawOutcome {
 	t.Helper()
 	env := newEnv(t, device.Generic(), w, h, false)
 	gl := env.gl
 	gl.SetWorkers(workers)
-	gl.SetTiling(tiling)
-	gl.SetTileSize(tileSize)
+	gl.tileSize = tileSize
 	gl.SetJIT(jit)
 	defer gl.Destroy()
 	prog := scenario(gl)
@@ -34,32 +33,30 @@ func runScenarioTiled(t *testing.T, workers int, tiling bool, tileSize int, jit 
 }
 
 // expectTilingParity demands identical framebuffers and virtual-time
-// counters across {tiling on/off} × {tile sizes} × {workers} × {quad fast
-// path on/off}, referenced against serial interpretation.
+// counters across {tile sizes} × {workers} × {backend} × {quad fast path
+// on/off}, referenced against the serial walk: one tile covering the
+// target, one worker, the interpreter.
 func expectTilingParity(t *testing.T, w, h int, scenario func(gl *Context) uint32) {
 	t.Helper()
-	ref := runScenarioTiled(t, 1, false, DefaultTileSize, false, w, h, scenario)
+	ref := runScenarioTiled(t, 1, max(w, h), false, w, h, scenario)
 	defer raster.SetQuadFast(true)
 	for _, cfg := range []struct {
 		name     string
 		workers  int
-		tiling   bool
 		tileSize int
 		jit      bool
 		quadFast bool
 	}{
-		{"bands-4w", 4, false, DefaultTileSize, true, true},
-		{"tiles-4w", 4, true, DefaultTileSize, true, true},
-		{"tiles-4w-interp", 4, true, DefaultTileSize, false, true},
-		{"tiles-4w-small", 4, true, 16, true, true},
-		{"tiles-4w-tiny", 4, true, 8, false, true},
-		{"tiles-4w-huge", 4, true, 4096, true, true},
-		{"tiles-serial", 1, true, DefaultTileSize, true, true},
-		{"tiles-4w-noquadfast", 4, true, DefaultTileSize, true, false},
-		{"bands-4w-noquadfast", 4, false, DefaultTileSize, true, false},
+		{"tiles-4w", 4, DefaultTileSize, true, true},
+		{"tiles-4w-interp", 4, DefaultTileSize, false, true},
+		{"tiles-4w-small", 4, 16, true, true},
+		{"tiles-4w-tiny", 4, 8, false, true},
+		{"tiles-4w-huge", 4, 4096, true, true},
+		{"tiles-serial", 1, DefaultTileSize, true, true},
+		{"tiles-4w-noquadfast", 4, DefaultTileSize, true, false},
 	} {
 		raster.SetQuadFast(cfg.quadFast)
-		got := runScenarioTiled(t, cfg.workers, cfg.tiling, cfg.tileSize, cfg.jit, w, h, scenario)
+		got := runScenarioTiled(t, cfg.workers, cfg.tileSize, cfg.jit, w, h, scenario)
 		raster.SetQuadFast(true)
 		if !bytes.Equal(ref.pixels, got.pixels) {
 			for i := range ref.pixels {

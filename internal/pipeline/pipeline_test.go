@@ -284,11 +284,9 @@ func TestFusionParity(t *testing.T) {
 	}{
 		{"default", func(c *core.Config) {}},
 		{"workers1", func(c *core.Config) { c.Workers = 1 }},
-		{"notiling", func(c *core.Config) { c.NoTiling = true }},
 		{"nolanes", func(c *core.Config) { c.NoLanes = true }},
-		{"workers1-notiling-nolanes", func(c *core.Config) {
+		{"workers1-nolanes", func(c *core.Config) {
 			c.Workers = 1
-			c.NoTiling = true
 			c.NoLanes = true
 		}},
 	}

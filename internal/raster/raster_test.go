@@ -222,54 +222,3 @@ func TestFragCoordConvention(t *testing.T) {
 		}
 	})
 }
-
-func TestBands(t *testing.T) {
-	cases := []struct {
-		y0, y1, n int
-		want      int // expected band count
-	}{
-		{0, 99, 4, 4},
-		{0, 0, 4, 1},  // single row: one band
-		{5, 7, 8, 3},  // more workers than rows: one band per row
-		{-3, 3, 2, 2}, // negative origin
-		{0, 9, 1, 1},  // single worker
-		{10, 5, 4, 0}, // empty range
-		{0, 10, 0, 0}, // no workers
-	}
-	for _, c := range cases {
-		bands := Bands(c.y0, c.y1, c.n)
-		if len(bands) != c.want {
-			t.Errorf("Bands(%d,%d,%d) = %d bands, want %d", c.y0, c.y1, c.n, len(bands), c.want)
-			continue
-		}
-		if c.want == 0 {
-			continue
-		}
-		// Bands must tile [y0, y1] exactly: contiguous, disjoint, non-empty,
-		// balanced to within one row.
-		y := c.y0
-		minH, maxH := 1<<30, 0
-		for i, b := range bands {
-			if b[0] != y {
-				t.Errorf("Bands(%d,%d,%d): band %d starts at %d, want %d", c.y0, c.y1, c.n, i, b[0], y)
-			}
-			h := b[1] - b[0] + 1
-			if h <= 0 {
-				t.Errorf("Bands(%d,%d,%d): band %d empty", c.y0, c.y1, c.n, i)
-			}
-			if h < minH {
-				minH = h
-			}
-			if h > maxH {
-				maxH = h
-			}
-			y = b[1] + 1
-		}
-		if y != c.y1+1 {
-			t.Errorf("Bands(%d,%d,%d): covers up to %d, want %d", c.y0, c.y1, c.n, y-1, c.y1)
-		}
-		if maxH-minH > 1 {
-			t.Errorf("Bands(%d,%d,%d): band heights %d..%d not balanced", c.y0, c.y1, c.n, minH, maxH)
-		}
-	}
-}

@@ -72,13 +72,9 @@ type Metrics struct {
 	gauges map[string]func() PoolGauge // by device: residency/cache probes
 
 	// Engine configuration, set once by New before any worker starts:
-	// whether worker engines shade with the tile-binned fragment engine
-	// and at what tile edge length, whether they use lane-batched SoA
-	// shader execution and at what batch width, whether the
+	// whether worker engines use lane-batched SoA shader execution and at what batch width, whether the
 	// cross-iteration tile-coherence cache is enabled, and whether the
 	// pipeline planner's proof-gated pass fusion is enabled.
-	tiling      bool
-	tileSize    int
 	lanes       bool
 	laneWidth   int
 	maskedLanes bool
@@ -178,9 +174,7 @@ func (m *Metrics) batch(dev string, size int) {
 
 // setEngineConfig records the worker engines' fragment-shading setup for
 // the static config gauges. Must happen before Start.
-func (m *Metrics) setEngineConfig(tiling bool, tileSize int, lanes bool, laneWidth int, maskedLanes, coherence, fusion bool) {
-	m.tiling = tiling
-	m.tileSize = tileSize
+func (m *Metrics) setEngineConfig(lanes bool, laneWidth int, maskedLanes, coherence, fusion bool) {
 	m.lanes = lanes
 	m.laneWidth = laneWidth
 	m.maskedLanes = maskedLanes
@@ -359,14 +353,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	for _, dev := range sortedKeys(m.batchJobs) {
 		appendf("gles2gpgpud_batched_jobs_total{device=%q} %d\n", dev, m.batchJobs[dev])
 	}
-	appendf("# HELP gles2gpgpud_engine_tiling_enabled Whether worker engines shade with the tile-binned fragment engine (host-time knob; results are bit-identical either way).\n# TYPE gles2gpgpud_engine_tiling_enabled gauge\n")
-	tiling := 0
-	if m.tiling {
-		tiling = 1
-	}
-	appendf("gles2gpgpud_engine_tiling_enabled %d\n", tiling)
-	appendf("# HELP gles2gpgpud_engine_tile_size Tile edge length of the tiled fragment engine in pixels.\n# TYPE gles2gpgpud_engine_tile_size gauge\n")
-	appendf("gles2gpgpud_engine_tile_size %d\n", m.tileSize)
 	appendf("# HELP gles2gpgpud_engine_lanes_enabled Whether worker engines use lane-batched SoA shader execution (host-time knob; results are bit-identical either way).\n# TYPE gles2gpgpud_engine_lanes_enabled gauge\n")
 	lanes := 0
 	if m.lanes {

@@ -47,13 +47,6 @@ type Config struct {
 	// Evicted runners release their tensors into the engine pool, so a
 	// rebuilt runner's allocations are pool hits.
 	MaxRunners int
-	// NoTiling shades worker engines' draws in horizontal bands instead
-	// of the tile-binned fragment engine. Host time only — results and
-	// virtual-time figures are bit-identical either way.
-	NoTiling bool
-	// TileSize overrides the tiled engine's tile edge length for worker
-	// engines (0: gles.DefaultTileSize).
-	TileSize int
 	// NoLanes shades worker engines' fragments individually instead of
 	// lane-batched SoA execution. Host time only — results and
 	// virtual-time figures are bit-identical either way.
@@ -145,10 +138,6 @@ type Scheduler struct {
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, metrics: newMetrics(), pools: map[string]*devicePool{}}
-	tileSize := cfg.TileSize
-	if tileSize <= 0 {
-		tileSize = gles.DefaultTileSize
-	}
 	laneWidth := cfg.LaneWidth
 	if laneWidth <= 0 {
 		laneWidth = shader.DefaultLaneWidth
@@ -157,8 +146,7 @@ func New(cfg Config) (*Scheduler, error) {
 		laneWidth = shader.MaxLaneWidth
 	}
 	lanesOn := !cfg.NoLanes && shader.DefaultLanes() && shader.DefaultJIT()
-	s.metrics.setEngineConfig(!cfg.NoTiling && gles.DefaultTiling(), tileSize,
-		lanesOn, laneWidth,
+	s.metrics.setEngineConfig(lanesOn, laneWidth,
 		lanesOn && !cfg.NoMaskedLanes && shader.DefaultMaskedLanes(),
 		!cfg.NoCoherence && gles.DefaultCoherence(),
 		!cfg.NoFuse && pipeline.DefaultFuse())
@@ -543,8 +531,6 @@ func (w *worker) engineFor(n int) (*core.Engine, error) {
 		UseVBO:          true,
 		ProgramCache:    w.pool.progs,
 		TensorPoolBytes: w.pool.sched.cfg.TensorPoolBytes,
-		NoTiling:        w.pool.sched.cfg.NoTiling,
-		TileSize:        w.pool.sched.cfg.TileSize,
 		NoLanes:         w.pool.sched.cfg.NoLanes,
 		LaneWidth:       w.pool.sched.cfg.LaneWidth,
 		NoMaskedLanes:   w.pool.sched.cfg.NoMaskedLanes,
