@@ -5,8 +5,8 @@
 // always-discarded fragments, per-device implementation-limit headroom —
 // the static view of the paper's Fig. 4b compile cliff — and the
 // lattice-driven findings: uniform branches, divergent discards,
-// provably-dead clamps, statically unbounded sampler footprints and the
-// masked-lane engine's eligibility verdict.
+// provably-dead clamps, statically unbounded sampler footprints, and the
+// lane engine's eligibility verdict.
 //
 // Usage:
 //

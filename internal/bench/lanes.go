@@ -163,8 +163,9 @@ func LaneMicro(ctx context.Context, invocations int) ([]LaneMicroResult, error) 
 			} else {
 				lc := p.LaneCompiledOpt(&cost, w)
 				if lc == nil {
+					_, reason := shader.LaneFallbackAt(p)
 					return nil, fmt.Errorf("lane micro %s: width %d did not lane-compile: %s",
-						k.name, w, shader.LaneFallbackReason(p))
+						k.name, w, reason)
 				}
 				env := shader.NewLaneEnv(p, w)
 				env.SetUniforms(uniforms)

@@ -83,15 +83,6 @@ type Opts struct {
 	// functional calibration. Like NoJIT it changes host time only: the
 	// passes are cycle-neutral, so virtual-time figures are identical.
 	NoPasses bool
-	// NoLanes shades the functional calibration one fragment at a time
-	// instead of lane-batched SoA execution. Host time only, like NoJIT.
-	NoLanes bool
-	// LaneWidth overrides the lane-batched engine's SoA batch width
-	// (0: shader.DefaultLaneWidth). Host time only, like NoJIT.
-	LaneWidth int
-	// NoMaskedLanes disables divergence-masked lane execution, so branchy
-	// programs (jacobi) shade per-fragment. Host time only, like NoJIT.
-	NoMaskedLanes bool
 	// NoCoherence disables the cross-iteration tile-coherence cache for
 	// the functional calibration. Host time only, like NoJIT: elided
 	// tiles replay their exact prior bytes and modelled cost.
@@ -219,15 +210,6 @@ func Measure(ctx context.Context, cfg core.Config, spec Spec, o Opts) (Result, e
 	}
 	if o.NoPasses {
 		cfg.NoPasses = true
-	}
-	if o.NoLanes {
-		cfg.NoLanes = true
-	}
-	if o.LaneWidth != 0 {
-		cfg.LaneWidth = o.LaneWidth
-	}
-	if o.NoMaskedLanes {
-		cfg.NoMaskedLanes = true
 	}
 	if o.NoCoherence {
 		cfg.NoCoherence = true

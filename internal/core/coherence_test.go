@@ -13,7 +13,7 @@ import (
 
 // Coherence parity matrix: every state-stepping workload must produce
 // bit-identical final state, identical virtual time and identical step
-// behaviour across {coherence on/off} × {workers 1/4} × {jit/interp/lanes}.
+// behaviour across {coherence on/off} × {workers 1/4} × {jit/interp}.
 // Elision is a host-time optimisation only; these tests are the contract.
 
 // cohTestPlate is the jacobi boundary condition: hot left edge.
@@ -40,16 +40,14 @@ type cohCell struct {
 	coherence bool
 	workers   int
 	noJIT     bool
-	noLanes   bool
 }
 
 var cohCells = []cohCell{
-	{"off-w1-jit", false, 1, false, false}, // the reference cell
-	{"on-w1-jit", true, 1, false, false},
-	{"on-w4-jit", true, 4, false, false},
-	{"on-w1-interp", true, 1, true, false},
-	{"on-w4-nolanes", true, 4, false, true},
-	{"off-w4-jit", false, 4, false, false},
+	{"off-w1-jit", false, 1, false}, // the reference cell
+	{"on-w1-jit", true, 1, false},
+	{"on-w4-jit", true, 4, false},
+	{"on-w1-interp", true, 1, true},
+	{"off-w4-jit", false, 4, false},
 }
 
 // cohRunWorkload builds an engine for the cell, steps the workload and
@@ -66,11 +64,15 @@ func cohRunCell(t *testing.T, c cohCell, n, iters int,
 	cfg := baseConfig(n)
 	cfg.Workers = c.workers
 	cfg.NoJIT = c.noJIT
-	cfg.NoLanes = c.noLanes
 	cfg.NoCoherence = !c.coherence
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
+	}
+	if c.coherence {
+		// Select the cache explicitly: the default may come from
+		// GLES2GPGPU_NO_COHERENCE, and the "on" cells assert elision.
+		e.GL().SetCoherence(true)
 	}
 	state, err := run(e, iters)
 	if err != nil {

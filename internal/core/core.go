@@ -143,30 +143,6 @@ type Config struct {
 	// figures are bit-identical either way.
 	NoPasses bool
 
-	// NoLanes disables the lane-batched (SoA) shader execution engine,
-	// shading every fragment individually instead (the library equivalent
-	// of GLES2GPGPU_NO_LANES=1). Like NoJIT it changes host wall-clock
-	// time only: framebuffer contents and every virtual-time figure are
-	// bit-identical either way. With lanes on, branchy or discarding
-	// programs run divergence-masked (see NoMaskedLanes); only programs
-	// that fail the mask-safety or liveness proofs shade per fragment.
-	NoLanes bool
-
-	// LaneWidth overrides how many fragments the lane-batched engine runs
-	// through each instruction at once. 0 means shader.DefaultLaneWidth;
-	// values are clamped to [1, shader.MaxLaneWidth]. Results are
-	// bit-identical at any width.
-	LaneWidth int
-
-	// NoMaskedLanes disables divergence-masked lane execution, so branchy
-	// or discarding fragment programs (jacobi) fall back to per-fragment
-	// shading instead of running through the SoA engine under an
-	// active-lane mask (the library equivalent of
-	// GLES2GPGPU_NO_MASKED_LANES=1). Like NoJIT it changes host wall-clock
-	// time only: framebuffer contents and every virtual-time figure are
-	// bit-identical either way.
-	NoMaskedLanes bool
-
 	// NoCoherence disables the cross-iteration tile-coherence cache,
 	// re-shading every tile on every draw (the library equivalent of
 	// GLES2GPGPU_NO_COHERENCE=1). Like NoJIT it changes host wall-clock
@@ -290,15 +266,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.NoPasses {
 		e.gl.SetPasses(false)
 	}
-	if cfg.NoLanes {
-		e.gl.SetLanes(false)
-	}
-	if cfg.LaneWidth != 0 {
-		e.gl.SetLaneWidth(cfg.LaneWidth)
-	}
-	if cfg.NoMaskedLanes {
-		e.gl.SetMaskedLanes(false)
-	}
 	if cfg.NoCoherence {
 		e.gl.SetCoherence(false)
 	}
@@ -341,8 +308,8 @@ func (e *Engine) Machine() *gpu.Machine { return e.gl.Machine() }
 func (e *Engine) CoherenceStats() (elided, shaded int64) { return e.gl.CoherenceStats() }
 
 // LaneFallbackDraws reports how many draws wanted lane-batched shading but
-// ran per-fragment because the program failed lane and mask eligibility —
-// the masked-lane adoption signal the daemon exports per device.
+// ran per-fragment because the fragment program failed lane eligibility —
+// the lane adoption signal the daemon exports per device.
 func (e *Engine) LaneFallbackDraws() int64 { return e.gl.LaneFallbackDraws() }
 
 // Now returns the virtual CPU time.

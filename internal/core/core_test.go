@@ -268,6 +268,40 @@ func TestJacobiMatchesReference(t *testing.T) {
 	}
 }
 
+// TestJacobiRunsOnLanes pins that the branchy jacobi kernels — the reason
+// the lane compiler has a masked form — shade lane-batched on the default
+// configuration: with the JIT selected (the only mode that wants lanes,
+// chosen explicitly so a GLES2GPGPU_NO_JIT default cannot make the check
+// vacuous), no jacobi or jacobi8 draw falls back to per-fragment shading.
+func TestJacobiRunsOnLanes(t *testing.T) {
+	const n = 32
+	for _, tc := range []struct {
+		name string
+		new  func(e *Engine) (Runner, error)
+	}{
+		{"jacobi", func(e *Engine) (Runner, error) { return NewJacobi(e, randMatrix(n, 47)) }},
+		{"jacobi8", func(e *Engine) (Runner, error) { return NewJacobi8(e, randMatrix(n, 47)) }},
+	} {
+		e, err := NewEngine(baseConfig(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.GL().SetJIT(true)
+		r, err := tc.new(e)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := 0; i < 4; i++ {
+			if err := r.RunOnce(context.Background()); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if f := e.LaneFallbackDraws(); f != 0 {
+			t.Errorf("%s: %d draws fell back to per-fragment shading", tc.name, f)
+		}
+	}
+}
+
 func TestConv3x3MatchesReference(t *testing.T) {
 	n := 16
 	cfg := baseConfig(n)

@@ -253,28 +253,14 @@ type Context struct {
 	// tiled.go), fixed at DefaultTileSize; only in-package tests vary it.
 	tileSize int
 
-	// lanes selects the lane-batched (SoA) shader engine for straight-line
-	// fragment programs (see lanes.go): batches of laneWidth fragments run
-	// through each instruction at once, amortising closure dispatch.
-	// Framebuffer bytes and all virtual-time figures are bit-identical;
-	// only host wall-clock time changes. Branchy/discarding programs run
-	// divergence-masked (maskedLanes) or, failing the mask-safety proof,
-	// on the per-fragment engine.
-	lanes     bool
+	// laneWidth is the SoA batch width of the lane engine (see sink.go),
+	// fixed at shader.DefaultLaneWidth; only in-package tests vary it
+	// (width 1 shades per-fragment).
 	laneWidth int
 
-	// maskedLanes extends the lane engine to branchy programs: draws whose
-	// fragment program passes the mask-safety proof (forward branches only,
-	// per-lane discard/return — jacobi's boundary ternary) run through the
-	// SoA engine under an active-lane mask (see
-	// internal/shader/lanes_masked.go) instead of falling back to the
-	// per-fragment JIT. Bit-identical results and counters; host time only.
-	maskedLanes bool
-
-	// laneFallbackDraws counts draws that wanted lane execution (lane
-	// engine on and applicable) but fell back to per-fragment shading —
-	// the masked-lane adoption signal exported by the daemon as
-	// gles2gpgpud_lane_fallback_draws_total.
+	// laneFallbackDraws counts draws that wanted lane execution (JIT on)
+	// but fell back to per-fragment shading — the lane adoption signal
+	// exported by the daemon as gles2gpgpud_lane_fallback_draws_total.
 	laneFallbackDraws int64
 
 	// coherence selects the cross-iteration tile-coherence engine (see
@@ -356,9 +342,7 @@ func NewContext(ec *egl.Context) *Context {
 		jit:          shader.DefaultJIT(),
 		passes:       shader.DefaultPasses(),
 		tileSize:     DefaultTileSize,
-		lanes:        shader.DefaultLanes(),
 		laneWidth:    shader.DefaultLaneWidth,
-		maskedLanes:  shader.DefaultMaskedLanes(),
 		coherence:    DefaultCoherence(),
 		cohCache:     make(map[cohKey]*cohDraw),
 		strictLimits: defaultStrictLimits(),
@@ -445,57 +429,9 @@ func (c *Context) SetPasses(on bool) { c.passes = on }
 // Passes reports whether the optimised program form is selected.
 func (c *Context) Passes() bool { return c.passes }
 
-// SetLanes selects the lane-batched (SoA) shader engine for eligible
-// draws: straight-line fragment programs run batches of LaneWidth
-// fragments through each instruction at once (see internal/shader/lanes.go),
-// amortising per-instruction dispatch. Framebuffer bytes, Cycles/TexFetches
-// and every virtual-time figure are bit-identical either way; only host
-// wall-clock time changes. Branchy or discarding programs (jacobi) run
-// under the divergence-masked extension when SetMaskedLanes is on, and
-// fall back to the per-fragment engine otherwise; the lane engine is an
-// extension of the compiled backend, so SetJIT(false) disables it too. The
-// default comes from shader.DefaultLanes (on, unless GLES2GPGPU_NO_LANES
-// is set).
-func (c *Context) SetLanes(on bool) { c.lanes = on }
-
-// Lanes reports whether the lane-batched shader engine is selected.
-func (c *Context) Lanes() bool { return c.lanes }
-
-// SetLaneWidth sets the SoA batch width of the lane-batched engine,
-// clamped to [1, shader.MaxLaneWidth]; n <= 0 restores
-// shader.DefaultLaneWidth. Width 1 effectively disables batching (the
-// per-fragment engine is used). Results are bit-identical at any width.
-func (c *Context) SetLaneWidth(n int) {
-	if n <= 0 {
-		n = shader.DefaultLaneWidth
-	}
-	if n > shader.MaxLaneWidth {
-		n = shader.MaxLaneWidth
-	}
-	c.laneWidth = n
-}
-
-// LaneWidth returns the configured SoA batch width.
-func (c *Context) LaneWidth() int { return c.laneWidth }
-
-// SetMaskedLanes selects divergence-masked lane execution for branchy
-// fragment programs the mask-safety proof admits (forward branches,
-// per-lane discard and early return — jacobi): they run through the SoA
-// lane engine under an active-lane mask (internal/shader/lanes_masked.go)
-// instead of falling back to the per-fragment JIT. Framebuffer bytes,
-// Cycles/TexFetches and every virtual-time figure are bit-identical either
-// way; only host wall-clock time changes. A no-op unless the lane engine
-// itself is on (SetLanes/SetJIT). The default comes from
-// shader.DefaultMaskedLanes (on, unless GLES2GPGPU_NO_MASKED_LANES is
-// set).
-func (c *Context) SetMaskedLanes(on bool) { c.maskedLanes = on }
-
-// MaskedLanes reports whether masked lane execution is selected.
-func (c *Context) MaskedLanes() bool { return c.maskedLanes }
-
 // LaneFallbackDraws returns the number of draws that wanted lane-batched
-// execution (engine on and applicable to the draw) but shaded per-fragment
-// because the program failed lane and mask eligibility.
+// execution (JIT on) but shaded per-fragment because the fragment program
+// lacks the liveness proofs or fails shader.LaneFallbackAt.
 func (c *Context) LaneFallbackDraws() int64 { return c.laneFallbackDraws }
 
 // SetCoherence selects the cross-iteration tile-coherence engine for

@@ -176,10 +176,10 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 
 	execVS := shader.Executor(vp, &c.prof.CostModel, c.jit, c.passes)
 
-	// Masked-lane adoption signal: count draws that wanted lane-batched
-	// shading but must run per-fragment (glslint's mask-fallback finding
-	// says why; the daemon exports the count per device).
-	if c.lanes && c.jit && c.laneWidth >= 2 && c.laneCompiledFor(fp) == nil {
+	// Lane adoption signal: count draws that wanted lane-batched shading
+	// but must run per-fragment (glslint's lane-fallback finding says why;
+	// the daemon exports the count per device).
+	if c.jit && c.laneWidth >= 2 && c.laneCompiledFor(fp) == nil {
 		c.laneFallbackDraws++
 	}
 

@@ -9,20 +9,20 @@ import (
 )
 
 // Lane-batched execution parity: the full execution-strategy matrix
-// {interpreter, per-fragment JIT, lane-batched, divergence-masked} ×
-// {serial, 4 workers} must produce byte-identical
-// framebuffers and bit-identical fragment/cycle/TexFetch counters. The
-// "lanes" rows pin masked execution OFF so they exercise the pure
-// straight-line engine with its per-fragment fallback; the "masked" rows
-// pin it ON so branchy programs run the proof-gated masked path. The lane
-// engines additionally sweep non-default widths, including ones that do
-// not divide the fragment count (the partial-final-batch path).
+// {interpreter, per-fragment JIT, lanes} × {serial, 4 workers} must
+// produce byte-identical framebuffers and bit-identical
+// fragment/cycle/TexFetch counters. The "jit" rows run the lane engine at
+// width 1, which shades every fragment through the per-fragment JIT; the
+// "lanes" rows run the one lane compiler (line form for straight-line
+// programs, masked form for branchy or discarding ones) at the default
+// width and at non-default widths, including ones that do not divide the
+// fragment count (the partial-final-batch path).
 
 // laneCfg is one cell of the execution-strategy matrix.
 type laneCfg struct {
-	engine  string // "interp", "jit", "lanes" or "masked"
+	engine  string // "interp", "jit" or "lanes"
 	workers int
-	width   int // lane width; 0 means the default (lane engines only)
+	width   int // lane width; 0 means the default (lanes only)
 }
 
 func (c laneCfg) name() string {
@@ -40,23 +40,14 @@ func runScenarioLanes(t *testing.T, c laneCfg, w, h int, scenario func(gl *Conte
 	env := newEnv(t, device.Generic(), w, h, false)
 	gl := env.gl
 	gl.SetWorkers(c.workers)
+	gl.SetJIT(c.engine != "interp")
 	switch c.engine {
 	case "interp":
-		gl.SetJIT(false)
-		gl.SetLanes(false)
 	case "jit":
-		gl.SetLanes(false)
+		gl.laneWidth = 1
 	case "lanes":
-		gl.SetLanes(true)
-		gl.SetMaskedLanes(false)
 		if c.width != 0 {
-			gl.SetLaneWidth(c.width)
-		}
-	case "masked":
-		gl.SetLanes(true)
-		gl.SetMaskedLanes(true)
-		if c.width != 0 {
-			gl.SetLaneWidth(c.width)
+			gl.laneWidth = c.width
 		}
 	default:
 		t.Fatalf("unknown engine %q", c.engine)
@@ -82,7 +73,7 @@ func expectLaneParity(t *testing.T, w, h int, scenario func(gl *Context) uint32)
 	t.Helper()
 	ref := runScenarioLanes(t, laneCfg{engine: "interp", workers: 1}, w, h, scenario)
 	var cfgs []laneCfg
-	for _, engine := range []string{"interp", "jit", "lanes", "masked"} {
+	for _, engine := range []string{"interp", "jit", "lanes"} {
 		for _, workers := range []int{1, 4} {
 			if engine == "interp" && workers == 1 {
 				continue // the reference itself
@@ -95,9 +86,7 @@ func expectLaneParity(t *testing.T, w, h int, scenario func(gl *Context) uint32)
 	for _, width := range []int{2, 5, 16} {
 		cfgs = append(cfgs,
 			laneCfg{engine: "lanes", workers: 1, width: width},
-			laneCfg{engine: "lanes", workers: 4, width: width},
-			laneCfg{engine: "masked", workers: 1, width: width},
-			laneCfg{engine: "masked", workers: 4, width: width})
+			laneCfg{engine: "lanes", workers: 4, width: width})
 	}
 	for _, c := range cfgs {
 		got := runScenarioLanes(t, c, w, h, scenario)
@@ -166,10 +155,9 @@ void main() {
 	})
 }
 
-// TestLaneParityDiscard: discard makes the program ineligible for the
-// pure lane engine (a batch could diverge), so the lanes cells must
-// silently fall back to per-fragment execution; the masked cells shade it
-// with per-lane death instead. Both must match everywhere.
+// TestLaneParityDiscard: discard makes lanes within a batch diverge, so
+// the lanes cells shade it in the masked form with per-lane death; it
+// must match the per-fragment cells everywhere.
 func TestLaneParityDiscard(t *testing.T) {
 	const n = 64
 	expectLaneParity(t, n, n, func(gl *Context) uint32 {
@@ -187,9 +175,9 @@ void main() {
 }
 
 // TestLaneParityBranchyFallback: a data-dependent if/else (the jacobi
-// shape) compiles to real control flow, so the pure lane cells fall back
-// per-fragment while the masked cells run it divergence-masked; pixels
-// and counters still match the interpreter bit-for-bit.
+// shape) compiles to real control flow, so the lanes cells run it in the
+// masked form where the jit cells shade it per-fragment; pixels and
+// counters still match the interpreter bit-for-bit.
 func TestLaneParityBranchyFallback(t *testing.T) {
 	const n = 32
 	expectLaneParity(t, n, n, func(gl *Context) uint32 {
@@ -233,7 +221,7 @@ varying vec2 v_val;
 void main() { gl_FragColor = vec4(v_val * 0.02, fract(v_val.x * 13.0) * 0.02, gl_PointCoord.y * 0.03); }`
 	draw := func(gl *Context, size float32, verts []float32, blend bool) uint32 {
 		p := buildProgram(t, gl, pointsVS, pointsFS)
-		if gl.Lanes() && gl.JIT() && gl.laneCompiledFor(gl.programs[p].fsProg) == nil {
+		if gl.laneWidth > 1 && gl.JIT() && gl.laneCompiledFor(gl.programs[p].fsProg) == nil {
 			t.Fatal("points program is not lane-eligible: the lane cells would not run lanes")
 		}
 		if blend {
@@ -274,13 +262,22 @@ void main() { gl_FragColor = vec4(v_val * 0.02, fract(v_val.x * 13.0) * 0.02, gl
 	})
 }
 
-// TestLaneFallbackCounter pins the fallback accounting: with masked
-// execution off, a branchy draw wants lanes but cannot take them, so it
-// increments LaneFallbackDraws; with masked execution on, the same
-// forward-branching program runs masked and the counter stays put. A
-// straight-line draw never increments it in either mode.
+// TestLaneFallbackCounter pins the fallback accounting with the JIT on
+// (the only mode where draws want lanes): an unproven program — it writes
+// gl_FragColor on one branch only, so OutputsAlwaysWritten fails — must
+// shade per-fragment and increments LaneFallbackDraws; a branchy proven
+// program runs masked lanes and a straight-line one the line form, and
+// neither counts a fallback.
 func TestLaneFallbackCounter(t *testing.T) {
 	const n = 32
+	unprovenFS := `
+precision mediump float;
+varying vec2 v_tex;
+void main() {
+	if (v_tex.x > 0.5) {
+		gl_FragColor = vec4(v_tex, 0.0, 1.0);
+	}
+}`
 	branchyFS := `
 precision mediump float;
 varying vec2 v_tex;
@@ -297,12 +294,11 @@ varying vec2 v_tex;
 void main() {
 	gl_FragColor = vec4(v_tex, 0.0, 1.0);
 }`
-	run := func(masked bool, fs string) int64 {
+	run := func(fs string) int64 {
 		env := newEnv(t, device.Generic(), n, n, false)
 		defer env.gl.Destroy()
 		gl := env.gl
-		gl.SetLanes(true)
-		gl.SetMaskedLanes(masked)
+		gl.SetJIT(true)
 		p := buildProgram(t, gl, quadVS, fs)
 		gl.UseProgram(p)
 		drawQuad(t, gl, p)
@@ -311,13 +307,13 @@ void main() {
 		}
 		return gl.LaneFallbackDraws()
 	}
-	if got := run(false, branchyFS); got == 0 {
-		t.Errorf("branchy draw without masked lanes should count a fallback")
+	if got := run(unprovenFS); got == 0 {
+		t.Errorf("unproven draw should count a fallback")
 	}
-	if got := run(true, branchyFS); got != 0 {
+	if got := run(branchyFS); got != 0 {
 		t.Errorf("masked lanes should absorb the branchy draw, got %d fallbacks", got)
 	}
-	if got := run(true, straightFS); got != 0 {
+	if got := run(straightFS); got != 0 {
 		t.Errorf("straight-line draw should never count a fallback, got %d", got)
 	}
 }

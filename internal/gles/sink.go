@@ -33,14 +33,12 @@ package gles
 //     engine would for each pixel, and flushing preserves it.
 //
 // Lane eligibility is gated in laneCompiledFor: the lane engine is an
-// extension of the compiled backend (off when the JIT is off), needs
-// width >= 2 to amortise anything, and requires the liveness proofs
-// because pooled LaneEnvs carry stale register lanes between draws exactly
-// like pooled Envs do between fragments. Straight-line programs take the
-// whole-batch engine; branchy or discarding programs the mask-safety proof
-// admits (forward branches, per-lane discard/return — jacobi) take the
-// divergence-masked engine (lanes_masked.go) when the maskedLanes knob is
-// on; everything else runs per-fragment. Masked batches can discard
+// extension of the compiled backend (off when the JIT is off) and requires
+// the liveness proofs because pooled LaneEnvs carry stale register lanes
+// between draws exactly like pooled Envs do between fragments. The lane
+// compiler picks the form from the program itself: straight-line programs
+// run whole-batch, branchy or discarding ones (jacobi) under per-lane
+// masks (internal/shader/lanes_masked.go). Masked batches can discard
 // individual lanes, so flush consults LaneEnv.Discarded before scattering.
 //
 // One error policy holds in both modes: a VM error (a compiler bug) skips
@@ -90,36 +88,17 @@ type fragSink struct {
 }
 
 // laneCompiledFor returns the lane-batched compiled form this draw's
-// fragment program executes on — the straight-line whole-batch form when
-// the program allows it, else the divergence-masked form when the
-// maskedLanes knob is on and the mask-safety proof admits the program —
-// or nil when the lane engine does not apply (knob off, JIT off,
-// width < 2, missing liveness proofs, backward branches, or an
-// unsupported opcode). A nil return means the sink shades per-fragment.
+// fragment program executes on, or nil when the sink shades per-fragment:
+// JIT off, missing liveness proofs, or a program shader.LaneFallbackAt
+// rejects (a backward branch; the GLSL compiler emits none).
 func (c *Context) laneCompiledFor(fp *shader.Program) *shader.LaneCompiled {
-	if !c.lanes || !c.jit || c.laneWidth < 2 {
+	if !c.jit || !proven(fp) {
 		return nil
 	}
-	if !proven(fp) {
-		return nil
-	}
-	cost := &c.prof.CostModel
 	if c.passes {
-		if lc := fp.LaneCompiledOpt(cost, c.laneWidth); lc != nil {
-			return lc
-		}
-		if c.maskedLanes {
-			return fp.MaskedLaneCompiledOpt(cost, c.laneWidth)
-		}
-		return nil
+		return fp.LaneCompiledOpt(&c.prof.CostModel, c.laneWidth)
 	}
-	if lc := fp.LaneCompiled(cost, c.laneWidth); lc != nil {
-		return lc
-	}
-	if c.maskedLanes {
-		return fp.MaskedLaneCompiled(cost, c.laneWidth)
-	}
-	return nil
+	return fp.LaneCompiled(&c.prof.CostModel, c.laneWidth)
 }
 
 // proven reports whether a fragment program carries both liveness proofs:

@@ -72,14 +72,10 @@ type Metrics struct {
 	gauges map[string]func() PoolGauge // by device: residency/cache probes
 
 	// Engine configuration, set once by New before any worker starts:
-	// whether worker engines use lane-batched SoA shader execution and at what batch width, whether the
-	// cross-iteration tile-coherence cache is enabled, and whether the
-	// pipeline planner's proof-gated pass fusion is enabled.
-	lanes       bool
-	laneWidth   int
-	maskedLanes bool
-	coherence   bool
-	fusion      bool
+	// whether the cross-iteration tile-coherence cache is enabled, and
+	// whether the pipeline planner's proof-gated pass fusion is enabled.
+	coherence bool
+	fusion    bool
 }
 
 // PoolGauge is a point-in-time snapshot of one device pool's reuse state,
@@ -174,10 +170,7 @@ func (m *Metrics) batch(dev string, size int) {
 
 // setEngineConfig records the worker engines' fragment-shading setup for
 // the static config gauges. Must happen before Start.
-func (m *Metrics) setEngineConfig(lanes bool, laneWidth int, maskedLanes, coherence, fusion bool) {
-	m.lanes = lanes
-	m.laneWidth = laneWidth
-	m.maskedLanes = maskedLanes
+func (m *Metrics) setEngineConfig(coherence, fusion bool) {
 	m.coherence = coherence
 	m.fusion = fusion
 }
@@ -353,20 +346,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	for _, dev := range sortedKeys(m.batchJobs) {
 		appendf("gles2gpgpud_batched_jobs_total{device=%q} %d\n", dev, m.batchJobs[dev])
 	}
-	appendf("# HELP gles2gpgpud_engine_lanes_enabled Whether worker engines use lane-batched SoA shader execution (host-time knob; results are bit-identical either way).\n# TYPE gles2gpgpud_engine_lanes_enabled gauge\n")
-	lanes := 0
-	if m.lanes {
-		lanes = 1
-	}
-	appendf("gles2gpgpud_engine_lanes_enabled %d\n", lanes)
-	appendf("# HELP gles2gpgpud_engine_lane_width SoA batch width of the lane-batched shader engine.\n# TYPE gles2gpgpud_engine_lane_width gauge\n")
-	appendf("gles2gpgpud_engine_lane_width %d\n", m.laneWidth)
-	appendf("# HELP gles2gpgpud_engine_masked_lanes_enabled Whether worker engines run branchy programs through divergence-masked lane execution (host-time knob; results are bit-identical either way).\n# TYPE gles2gpgpud_engine_masked_lanes_enabled gauge\n")
-	maskedLanes := 0
-	if m.maskedLanes {
-		maskedLanes = 1
-	}
-	appendf("gles2gpgpud_engine_masked_lanes_enabled %d\n", maskedLanes)
 	appendf("# HELP gles2gpgpud_engine_coherence_enabled Whether worker engines elide tiles with unchanged inputs across iterations (host-time knob; results are bit-identical either way).\n# TYPE gles2gpgpud_engine_coherence_enabled gauge\n")
 	coherence := 0
 	if m.coherence {

@@ -13,7 +13,6 @@ import (
 	"gles2gpgpu/internal/gles"
 	"gles2gpgpu/internal/kernels"
 	"gles2gpgpu/internal/pipeline"
-	"gles2gpgpu/internal/shader"
 )
 
 // Sentinel errors the admission path returns. The HTTP layer maps
@@ -47,17 +46,6 @@ type Config struct {
 	// Evicted runners release their tensors into the engine pool, so a
 	// rebuilt runner's allocations are pool hits.
 	MaxRunners int
-	// NoLanes shades worker engines' fragments individually instead of
-	// lane-batched SoA execution. Host time only — results and
-	// virtual-time figures are bit-identical either way.
-	NoLanes bool
-	// LaneWidth overrides the lane-batched engine's SoA batch width for
-	// worker engines (0: shader.DefaultLaneWidth).
-	LaneWidth int
-	// NoMaskedLanes makes worker engines shade branchy programs (jacobi)
-	// per-fragment instead of divergence-masked lane execution. Host time
-	// only — results and virtual-time figures are bit-identical either way.
-	NoMaskedLanes bool
 	// NoCoherence disables worker engines' cross-iteration tile-coherence
 	// cache, re-shading every tile on every draw. Host time only — results
 	// and virtual-time figures are bit-identical either way.
@@ -138,17 +126,7 @@ type Scheduler struct {
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, metrics: newMetrics(), pools: map[string]*devicePool{}}
-	laneWidth := cfg.LaneWidth
-	if laneWidth <= 0 {
-		laneWidth = shader.DefaultLaneWidth
-	}
-	if laneWidth > shader.MaxLaneWidth {
-		laneWidth = shader.MaxLaneWidth
-	}
-	lanesOn := !cfg.NoLanes && shader.DefaultLanes() && shader.DefaultJIT()
-	s.metrics.setEngineConfig(lanesOn, laneWidth,
-		lanesOn && !cfg.NoMaskedLanes && shader.DefaultMaskedLanes(),
-		!cfg.NoCoherence && gles.DefaultCoherence(),
+	s.metrics.setEngineConfig(!cfg.NoCoherence && gles.DefaultCoherence(),
 		!cfg.NoFuse && pipeline.DefaultFuse())
 	for _, name := range cfg.Devices {
 		if _, dup := s.pools[name]; dup {
@@ -531,9 +509,6 @@ func (w *worker) engineFor(n int) (*core.Engine, error) {
 		UseVBO:          true,
 		ProgramCache:    w.pool.progs,
 		TensorPoolBytes: w.pool.sched.cfg.TensorPoolBytes,
-		NoLanes:         w.pool.sched.cfg.NoLanes,
-		LaneWidth:       w.pool.sched.cfg.LaneWidth,
-		NoMaskedLanes:   w.pool.sched.cfg.NoMaskedLanes,
 		NoCoherence:     w.pool.sched.cfg.NoCoherence,
 		NoFuse:          w.pool.sched.cfg.NoFuse,
 	})

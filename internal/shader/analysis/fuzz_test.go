@@ -40,10 +40,10 @@ func FuzzPassPipeline(f *testing.F) {
 		_ = Lint(p, LimitProfiles())
 		// The CFG-derived mask-safety proof and the executor's own
 		// eligibility probe must agree on every program.
-		_, execReason := shader.MaskedFallbackAt(p)
+		_, execReason := shader.LaneFallbackAt(p)
 		_, cfgReason := MaskSafety(cfg)
 		if (execReason == "") != (cfgReason == "") {
-			t.Fatalf("MaskSafety and MaskedFallbackAt disagree: executor %q, analysis %q",
+			t.Fatalf("MaskSafety and LaneFallbackAt disagree: executor %q, analysis %q",
 				execReason, cfgReason)
 		}
 		o := Optimize(p)

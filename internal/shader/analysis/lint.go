@@ -73,7 +73,6 @@ func Lint(p *shader.Program, profiles []LimitProfile) []Finding {
 		fs = append(fs, lintDivergentDiscards(p, uni, sccp)...)
 		fs = append(fs, lintDeadClamps(p, rng, sccp)...)
 		fs = append(fs, lintFootprints(p, foot)...)
-		fs = append(fs, lintMaskEligibility(p, cfg)...)
 		res := CountResources(cfg)
 		for _, lp := range profiles {
 			fs = append(fs, CheckLimits(p, res, lp)...)
@@ -250,40 +249,59 @@ func lintBuiltins(p *shader.Program, du *DefUse, sccp *SCCP) []Finding {
 	return fs
 }
 
-// lintLaneEligibility reports whether the lane-batched SoA engine can run
-// the program (an info note, not a defect): straight-line programs shade
-// batches of fragments through each instruction at once, while branchy or
-// discarding programs fall back to per-fragment execution. The eligibility
-// probe is the executor's own (shader.LaneFallbackAt); the CFG cross-checks
-// it — a single-block CFG is exactly the straight-line property, so the two
-// views disagreeing would mean a compiler bug worth surfacing loudly.
-func lintLaneEligibility(p *shader.Program, cfg *CFG) []Finding {
+// lintLaneEligibility reports the lane engine's verdict (an info note,
+// not a defect): eligible programs shade batches of fragments through each
+// instruction at once — straight-line ones in the line form, branchy or
+// discarding ones under per-lane masks — and the rest fall back to
+// per-fragment execution. The verdict is the executor's own
+// (shader.LaneFallbackAt, shader.StraightLine); two independent views
+// cross-check it, and a disagreement would mean a compiler bug worth
+// surfacing loudly: MaskSafety must accept exactly what the executor
+// admits, and the line form must coincide with a single-block, discard-
+// free CFG.
+func lintLaneEligibility(p *shader.Program, c *CFG) []Finding {
 	pc, reason := shader.LaneFallbackAt(p)
-	if reason == "" {
-		if len(cfg.Blocks) > 1 {
-			return []Finding{{
-				Code: "lane-eligible",
-				Sev:  SevWarning,
-				Msg: fmt.Sprintf("executor says straight-line but the CFG has %d blocks; "+
-					"eligibility probe and CFG disagree (compiler bug?)", len(cfg.Blocks)),
-			}}
-		}
+	if spc, sreason := MaskSafety(c); (reason == "") != (sreason == "") {
 		return []Finding{{
 			Code: "lane-eligible",
-			Sev:  SevInfo,
-			Msg: "straight-line program: the lane-batched engine shades batches of " +
-				"fragments through each instruction at once",
+			Sev:  SevWarning,
+			Msg: fmt.Sprintf("executor and CFG disagree on mask safety "+
+				"(executor: pc %d %q, analysis: pc %d %q); eligibility probe "+
+				"and analysis disagree (compiler bug?)", pc, reason, spc, sreason),
 		}}
 	}
-	f := Finding{
-		Code: "lane-fallback",
-		Sev:  SevInfo,
-		Msg:  fmt.Sprintf("per-fragment execution: %s", reason),
+	if reason != "" {
+		f := Finding{
+			Code: "lane-fallback",
+			Sev:  SevInfo,
+			Msg:  fmt.Sprintf("per-fragment execution: %s", reason),
+		}
+		if pc >= 0 && pc < len(p.Insts) {
+			f.Pos = p.Insts[pc].SrcPos
+		}
+		return []Finding{f}
 	}
-	if pc >= 0 && pc < len(p.Insts) {
-		f.Pos = p.Insts[pc].SrcPos
+	straight := shader.StraightLine(p.Insts)
+	discards := false
+	for i := range p.Insts {
+		discards = discards || p.Insts[i].Op == shader.OpKIL
 	}
-	return []Finding{f}
+	if straight != (len(c.Blocks) == 1 && !discards) {
+		return []Finding{{
+			Code: "lane-eligible",
+			Sev:  SevWarning,
+			Msg: fmt.Sprintf("executor says straight-line=%v but the CFG has %d blocks "+
+				"(discard: %v); eligibility probe and CFG disagree (compiler bug?)",
+				straight, len(c.Blocks), discards),
+		}}
+	}
+	msg := "straight-line program: the lane engine shades batches of " +
+		"fragments through each instruction at once"
+	if !straight {
+		msg = "forward-only control flow: the lane engine shades fragment " +
+			"batches through diverging branches and discards with per-lane masks"
+	}
+	return []Finding{{Code: "lane-eligible", Sev: SevInfo, Msg: msg}}
 }
 
 // lintFusionEligibility reports whether the pipeline planner could fuse

@@ -13,8 +13,8 @@ import (
 // uniformity analysis proved uniform (every fragment in a draw takes the
 // same arm), a discard that actually diverges, a clamp the range analysis
 // proved dead, a sampler whose footprint the coherence cache cannot bound
-// statically, and the masked-lane engine's eligibility verdict with the
-// defeating instruction when it falls back.
+// statically. The lane engine's eligibility verdict (lint.go) names the
+// defeating instruction when a program falls back.
 
 // lintUniformBranches flags reachable branches whose condition is proven
 // uniform but not constant: every fragment of a draw takes the same arm,
@@ -141,44 +141,4 @@ func lintFootprints(p *shader.Program, f *Footprint) []Finding {
 		fs = append(fs, fd)
 	}
 	return fs
-}
-
-// lintMaskEligibility reports the divergence-masked lane engine's verdict
-// for branchy programs (straight-line programs are covered by the
-// lane-eligible finding instead). The eligibility probe is the executor's
-// own (shader.MaskedFallbackAt); MaskSafety re-derives the same property
-// from the CFG, and a disagreement between the two would be a compiler
-// bug worth surfacing loudly.
-func lintMaskEligibility(p *shader.Program, c *CFG) []Finding {
-	if len(c.Blocks) <= 1 {
-		return nil
-	}
-	pc, reason := shader.MaskedFallbackAt(p)
-	spc, sreason := MaskSafety(c)
-	if (reason == "") != (sreason == "") {
-		return []Finding{{
-			Code: "mask-eligible",
-			Sev:  SevWarning,
-			Msg: fmt.Sprintf("executor and CFG disagree on mask safety "+
-				"(executor: pc %d %q, analysis: pc %d %q); eligibility probe "+
-				"and analysis disagree (compiler bug?)", pc, reason, spc, sreason),
-		}}
-	}
-	if reason == "" {
-		return []Finding{{
-			Code: "mask-eligible",
-			Sev:  SevInfo,
-			Msg: "forward-only control flow: the masked-lane engine shades " +
-				"fragment batches through diverging branches with per-lane masks",
-		}}
-	}
-	f := Finding{
-		Code: "mask-fallback",
-		Sev:  SevInfo,
-		Msg:  fmt.Sprintf("per-fragment execution: %s", reason),
-	}
-	if pc >= 0 && pc < len(p.Insts) {
-		f.Pos = p.Insts[pc].SrcPos
-	}
-	return []Finding{f}
 }

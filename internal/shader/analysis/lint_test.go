@@ -377,8 +377,8 @@ void main() {
 }
 
 func TestLintMaskEligibility(t *testing.T) {
-	// Branchy forward-only program: mask-eligible, and no lane-eligible
-	// false positive from the straight-line rule.
+	// Branchy forward-only program: lane-eligible in the masked form, and
+	// no contradictory lane-fallback.
 	p := compileGLSL(t, `precision mediump float;
 varying vec2 v_tex;
 void main() {
@@ -390,25 +390,26 @@ void main() {
 }
 `)
 	fs := Lint(p, nil)
-	el := findByCode(fs, "mask-eligible")
-	if len(el) != 1 || el[0].Sev != SevInfo {
-		t.Fatalf("forward-branchy program should be mask-eligible (info); findings: %v", fs)
+	el := findByCode(fs, "lane-eligible")
+	if len(el) != 1 || el[0].Sev != SevInfo || !strings.Contains(el[0].Msg, "per-lane masks") {
+		t.Fatalf("forward-branchy program should be lane-eligible in the masked form (info); findings: %v", fs)
 	}
-	if fb := findByCode(fs, "mask-fallback"); len(fb) != 0 {
-		t.Errorf("eligible program must not also report mask-fallback: %v", fb)
+	if fb := findByCode(fs, "lane-fallback"); len(fb) != 0 {
+		t.Errorf("eligible program must not also report lane-fallback: %v", fb)
 	}
 
-	// Straight-line program: neither masked finding, only lane-eligible.
+	// Straight-line program: lane-eligible in the line form.
 	p = compileGLSL(t, `precision mediump float;
 void main() {
 	gl_FragColor = vec4(1.0);
 }
 `)
 	fs = Lint(p, nil)
-	if len(findByCode(fs, "mask-eligible"))+len(findByCode(fs, "mask-fallback")) != 0 {
-		t.Errorf("straight-line program is covered by lane-eligible alone: %v", fs)
+	el = findByCode(fs, "lane-eligible")
+	if len(el) != 1 || el[0].Sev != SevInfo || !strings.Contains(el[0].Msg, "straight-line") {
+		t.Errorf("straight-line program should be lane-eligible in the line form: %v", fs)
 	}
-	if len(findByCode(fs, "lane-eligible")) != 1 {
-		t.Errorf("straight-line program should be lane-eligible: %v", fs)
+	if len(findByCode(fs, "lane-fallback")) != 0 {
+		t.Errorf("straight-line program must not report lane-fallback: %v", fs)
 	}
 }

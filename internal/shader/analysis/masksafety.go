@@ -8,11 +8,11 @@ import (
 
 // Mask-safety proof.
 //
-// The divergence-masked lane engine executes a branchy program by walking
+// The lane engine executes a branchy program in its masked form, walking
 // instructions in program order with a per-lane next-pc; that is only
 // sound when program order is a topological order of the instruction
 // graph, i.e. every control edge goes forward. The executor probes this
-// itself (shader.MaskedFallbackAt), but the analysis derives the same
+// itself (shader.LaneFallbackAt), but the analysis derives the same
 // verdict independently from the CFG so the lint can cross-check the two:
 // a disagreement means either the proof or the engine gate is wrong, and
 // is reported loudly.

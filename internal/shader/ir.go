@@ -341,13 +341,9 @@ type Program struct {
 	// lanes / lanesOpt cache the lane-batched (SoA) compiled forms (see
 	// lanes.go), keyed by (cost, width) and (cost, width, OptProgram)
 	// respectively; ineligible programs cache a sentinel so the
-	// straightness scan is not repeated per draw.
+	// eligibility scan is not repeated per draw.
 	lanes    atomic.Pointer[LaneCompiled]
 	lanesOpt atomic.Pointer[LaneCompiled]
-	// lanesMasked / lanesMaskedOpt cache the divergence-masked lane forms
-	// (see lanes_masked.go) under the same keying discipline.
-	lanesMasked    atomic.Pointer[LaneCompiled]
-	lanesMaskedOpt atomic.Pointer[LaneCompiled]
 	// opt holds the pass-pipeline result attached by SetOptimized
 	// (computed in internal/shader/analysis, which this package cannot
 	// import).

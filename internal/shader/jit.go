@@ -239,29 +239,7 @@ func compileFrom(p *Program, insts []Inst, consts [][4]float32, dead []bool, cos
 	c := &Compiled{prog: p, cost: cost, insts: insts}
 	n := len(insts)
 
-	c.straight = true
-	for i := range insts {
-		switch insts[i].Op {
-		case OpBR, OpBRZ:
-			// The if-lowering in the GLSL back end emits fall-through
-			// branches (target = next instruction). Those are no-ops aside
-			// from their cycle cost — reading the BRZ condition has no side
-			// effect — so they keep the program straight-line. Any real
-			// jump does not.
-			if int(insts[i].Target) != i+1 {
-				c.straight = false
-			}
-		case OpKIL:
-			c.straight = false
-		case OpRET:
-			// A RET anywhere but the final slot is an early exit: later
-			// instructions must not execute or be charged.
-			if i != n-1 {
-				c.straight = false
-			}
-		}
-	}
-
+	c.straight = StraightLine(insts)
 	if c.straight {
 		c.line = make([]func(*Env), 0, n)
 		for i := range insts {

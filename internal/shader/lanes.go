@@ -18,18 +18,20 @@ package shader
 // Closure dispatch is paid once per instruction per *batch*, amortising it
 // W×.
 //
-// Eligibility (the same straightness predicate as Compiled.Straight):
+// One compiler, two forms. Every program LaneFallbackAt admits (forward
+// branches only, every opcode implemented — true of every program the
+// GLSL compiler emits, since loops are fully unrolled) lane-compiles; the
+// instruction stream alone picks the form:
 //
-//   - No real control flow. Fall-through branches (target = pc+1, emitted
-//     by the GLSL if-lowering) are cost-only no-ops and stay eligible; any
-//     real jump does not. Every generated GPGPU kernel except jacobi is
-//     straight-line because loops are fully unrolled.
-//   - No KIL: a discarding lane would diverge from its batch. Discarding
-//     programs (and branchy ones) fall back to the per-fragment JIT, so
-//     the live-lane mask degenerates to a dense prefix: the gather loop
-//     packs covered fragments into lanes 0..N-1 and every packed lane runs
-//     to completion. A partial final batch simply has N < W.
-//   - RET only in the final slot (an early RET would skip instructions).
+//   - Straight-line (no real jump, no KIL, RET only in the final slot;
+//     fall-through branches are cost-only no-ops): the line form below
+//     runs every instruction over the whole batch with no staging, commit
+//     or active-lane scan. Every packed lane runs to completion, so the
+//     live-lane mask is a dense prefix 0..N-1 and a partial final batch
+//     simply has N < W.
+//   - Otherwise (jacobi's boundary ternary, discard, early return): the
+//     stepped form in lanes_masked.go runs the same per-op bodies under a
+//     per-lane active mask.
 //
 // Bit-identity: every per-op lane rule (float32-native vs float64
 // round-trip, min32/max32 special-case order, expression shapes that decide
@@ -47,24 +49,16 @@ package shader
 import (
 	"fmt"
 	"math"
-	"os"
+	"sync/atomic"
 )
 
 // MaxLaneWidth bounds the SoA batch width. 16 keeps one register
 // component's slab (64 bytes) within a cache line.
 const MaxLaneWidth = 16
 
-// DefaultLaneWidth is the batch width used when no override is given;
+// DefaultLaneWidth is the batch width the GLES layer runs lanes at;
 // chosen by the lane microbenchmarks in internal/bench (see BENCH_PR6.json).
 const DefaultLaneWidth = 8
-
-// noLanesEnv disables the lane-batched backend process-wide; read once at
-// init, mirroring GLES2GPGPU_NO_JIT.
-var noLanesEnv = os.Getenv("GLES2GPGPU_NO_LANES") != ""
-
-// DefaultLanes reports whether the lane-batched backend is enabled by
-// default (it is, unless GLES2GPGPU_NO_LANES is set in the environment).
-func DefaultLanes() bool { return !noLanesEnv }
 
 // LaneEnv is the execution environment of one batch of shader invocations,
 // the SoA analogue of Env. Register banks are flat []float32 slabs laid
@@ -93,8 +87,8 @@ type LaneEnv struct {
 	TexFetches int64
 
 	// Discarded flags the lanes that executed a KIL in the last masked
-	// batch (see lanes_masked.go); scatter paths skip them. Batches run by
-	// the straight-line engine never discard and leave all entries false.
+	// batch (see lanes_masked.go); scatter paths skip them. Batches run in
+	// the line form never discard and leave all entries false.
 	Discarded []bool
 
 	// Masked-execution per-batch state (lanes_masked.go): per-lane resume
@@ -187,9 +181,10 @@ type laneSrc struct {
 	offs [4]int
 }
 
-// LaneCompiled is the lane-batched compiled form of one straight-line
-// Program under one CostModel at one width. Immutable after compilation:
-// any number of goroutines may Run it concurrently with distinct LaneEnvs.
+// LaneCompiled is the lane-batched compiled form of one Program under one
+// CostModel at one width: the straight-line line form or the stepped
+// masked form (see the file comment). Immutable after compilation: any
+// number of goroutines may Run it concurrently with distinct LaneEnvs.
 type LaneCompiled struct {
 	prog  *Program
 	cost  *CostModel
@@ -197,9 +192,9 @@ type LaneCompiled struct {
 	width int
 
 	line          []laneOp
-	cyclesPerLane int64
+	cyclesPerLane int64 // -1 marks a cached ineligibility
 
-	// Masked (divergence-tolerant) form: when masked is set, line is empty
+	// Stepped (divergence-tolerant) form: when masked is set, line is empty
 	// and steps drives the per-pc active-lane schedule in lanes_masked.go.
 	// cyclesPerLane stays 0 because cost is charged per step per active
 	// lane, reproducing the interpreter's per-lane totals under divergence.
@@ -218,10 +213,6 @@ func (lc *LaneCompiled) Masked() bool { return lc.masked }
 
 // Width returns the lane width the batch was compiled for.
 func (lc *LaneCompiled) Width() int { return lc.width }
-
-// CyclesPerLane returns the per-invocation cycle cost; a batch of N lanes
-// advances Cycles by exactly N times this.
-func (lc *LaneCompiled) CyclesPerLane() int64 { return lc.cyclesPerLane }
 
 // Run executes the batch of e.N live lanes. Outputs for lanes 0..N-1 and
 // the Cycles/TexFetches deltas are bit-identical to N serial interpreter
@@ -245,33 +236,11 @@ func (lc *LaneCompiled) Run(e *LaneEnv) {
 // the given width, building it on first use and caching it on the Program
 // (one-entry cache keyed by cost pointer and width, like the JIT cache —
 // an engine runs one profile at one width, so the key never thrashes in
-// practice). Returns nil when p is not straight-line, uses an unsupported
-// opcode, or width is out of range [2, MaxLaneWidth]; callers fall back to
-// the per-fragment JIT or interpreter.
+// practice). Returns nil when LaneFallbackAt rejects p or width is out of
+// range [2, MaxLaneWidth]; callers fall back to the per-fragment JIT or
+// interpreter.
 func (p *Program) LaneCompiled(cost *CostModel, width int) *LaneCompiled {
-	if c := p.lanes.Load(); c != nil && c.cost == cost && c.width == width {
-		if c.line == nil && c.cyclesPerLane < 0 {
-			return nil // cached ineligibility
-		}
-		return c
-	}
-	p.jitMu.Lock()
-	defer p.jitMu.Unlock()
-	if c := p.lanes.Load(); c != nil && c.cost == cost && c.width == width {
-		if c.line == nil && c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	c := compileLanes(p, p.Insts, p.Consts, nil, cost, width)
-	if c == nil {
-		// Cache the negative result so ineligible programs do not pay a
-		// straightness scan per draw.
-		p.lanes.Store(&LaneCompiled{prog: p, cost: cost, width: width, cyclesPerLane: -1})
-		return nil
-	}
-	p.lanes.Store(c)
-	return c
+	return p.laneCached(&p.lanes, nil, cost, width)
 }
 
 // LaneCompiledOpt returns the lane-batched compiled form of p's optimised
@@ -284,70 +253,63 @@ func (p *Program) LaneCompiledOpt(cost *CostModel, width int) *LaneCompiled {
 	if o == nil {
 		return p.LaneCompiled(cost, width)
 	}
-	if c := p.lanesOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
-		if c.line == nil && c.cyclesPerLane < 0 {
-			return nil
+	return p.laneCached(&p.lanesOpt, o, cost, width)
+}
+
+// laneCached serves one lane cache slot: lock-free reads, fills serialised
+// under jitMu. Ineligible programs cache a sentinel so the eligibility
+// scan is not repeated per draw.
+func (p *Program) laneCached(slot *atomic.Pointer[LaneCompiled], o *OptProgram, cost *CostModel, width int) *LaneCompiled {
+	c := slot.Load()
+	if !c.keyed(cost, width, o) {
+		p.jitMu.Lock()
+		if c = slot.Load(); !c.keyed(cost, width, o) {
+			insts, consts, dead := p.Insts, p.Consts, []bool(nil)
+			if o != nil {
+				insts, consts, dead = o.Insts, o.Consts, o.Dead
+			}
+			if c = compileLanes(p, insts, consts, dead, cost, width); c == nil {
+				c = &LaneCompiled{prog: p, cost: cost, width: width, cyclesPerLane: -1}
+			}
+			c.opt = o
+			slot.Store(c)
 		}
-		return c
+		p.jitMu.Unlock()
 	}
-	p.jitMu.Lock()
-	defer p.jitMu.Unlock()
-	if c := p.lanesOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
-		if c.line == nil && c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	c := compileLanes(p, o.Insts, o.Consts, o.Dead, cost, width)
-	if c == nil {
-		p.lanesOpt.Store(&LaneCompiled{prog: p, cost: cost, opt: o, width: width, cyclesPerLane: -1})
+	if c.cyclesPerLane < 0 {
 		return nil
 	}
-	c.opt = o
-	p.lanesOpt.Store(c)
 	return c
 }
 
-// LaneFallbackReason reports why p cannot run on the lane-batched engine,
-// or "" when it is lane-eligible. The first clause found is reported:
-// real control flow, discard, early return, or an opcode the backend does
-// not implement. The liveness proofs (WritesBeforeReads,
-// OutputsAlwaysWritten) are a separate pipeline-level gate — see
-// the analysis package's lane lint rule — because they concern Env reuse,
-// not the batch execution itself.
-func LaneFallbackReason(p *Program) string {
-	_, reason := LaneFallbackAt(p)
-	return reason
+// keyed reports whether a cache entry was built for (cost, width, o).
+func (lc *LaneCompiled) keyed(cost *CostModel, width int, o *OptProgram) bool {
+	return lc != nil && lc.cost == cost && lc.width == width && lc.opt == o
 }
 
-// LaneFallbackAt is LaneFallbackReason with the offending instruction's
-// index attached, so tooling (glslint's lane rule) can point at the
-// source position that breaks eligibility. pc is -1 when the program is
-// lane-eligible.
+// LaneFallbackAt reports why p cannot run on the lane engine, with the
+// offending instruction's index so tooling (glslint's lane rule) can point
+// at the source position; pc is -1 and reason "" when p is lane-eligible.
+// Forward branches, discard and early return are all fine (they select
+// the masked form); only backward branches (lanes could diverge without
+// bound — the unroller removes bounded loops, so no generated kernel has
+// one) and unimplemented opcodes disqualify. The liveness proofs
+// (WritesBeforeReads, OutputsAlwaysWritten) are a separate engine-level
+// gate because they concern LaneEnv reuse, not batch execution itself.
 func LaneFallbackAt(p *Program) (pc int, reason string) {
 	return laneFallbackAt(p.Insts)
 }
 
-func laneFallbackReason(insts []Inst) string {
-	_, reason := laneFallbackAt(insts)
-	return reason
-}
-
 func laneFallbackAt(insts []Inst) (int, string) {
-	n := len(insts)
 	for i := range insts {
 		in := &insts[i]
 		switch in.Op {
 		case OpBR, OpBRZ:
-			if int(in.Target) != i+1 {
-				return i, fmt.Sprintf("branch at pc %d jumps to %d (not straight-line)", i, in.Target)
+			if int(in.Target) <= i {
+				return i, fmt.Sprintf("backward branch at pc %d to %d (lanes could diverge without bound)", i, in.Target)
 			}
-		case OpKIL:
-			return i, fmt.Sprintf("discard (kil) at pc %d could diverge within a batch", i)
-		case OpRET:
-			if i != n-1 {
-				return i, fmt.Sprintf("early ret at pc %d (not straight-line)", i)
-			}
+		case OpKIL, OpRET:
+			// Per-lane retirement: fine anywhere under a mask.
 		default:
 			if !laneOpSupported(in.Op) {
 				return i, fmt.Sprintf("opcode %s at pc %d has no lane implementation", in.Op, i)
@@ -355,6 +317,31 @@ func laneFallbackAt(insts []Inst) (int, string) {
 		}
 	}
 	return -1, ""
+}
+
+// StraightLine reports whether every invocation runs every instruction of
+// the stream: no real jump, no KIL, and RET only in the final slot. The
+// if-lowering in the GLSL back end emits fall-through branches (target =
+// next instruction); those are no-ops aside from their cycle cost —
+// reading the BRZ condition has no side effect — so they keep the stream
+// straight-line. It selects the lane compiler's line form over the masked
+// one, and the JIT's precomputed-cycles block form.
+func StraightLine(insts []Inst) bool {
+	for i := range insts {
+		switch insts[i].Op {
+		case OpBR, OpBRZ:
+			if int(insts[i].Target) != i+1 {
+				return false
+			}
+		case OpKIL:
+			return false
+		case OpRET:
+			if i != len(insts)-1 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // laneOpSupported reports whether compileLaneInst implements op.
@@ -372,19 +359,23 @@ func laneOpSupported(op Op) bool {
 	return false
 }
 
-// compileLanes translates a straight-line instruction stream into lane
-// closures; nil when the stream is ineligible (see LaneFallbackReason) or
-// the width is out of range. Dead instructions follow the OptProgram
-// contract: their cost is folded into cyclesPerLane and a dead TEX still
-// counts one fetch per live lane.
+// compileLanes translates an instruction stream into lane closures: the
+// line form when the stream is straight-line, the masked form otherwise.
+// nil when the stream is ineligible (see LaneFallbackAt) or the width is
+// out of range. Dead instructions follow the OptProgram contract: their
+// cost is still charged and a dead TEX still counts one fetch per live
+// lane.
 func compileLanes(p *Program, insts []Inst, consts [][4]float32, dead []bool, cost *CostModel, width int) *LaneCompiled {
 	if width < 2 || width > MaxLaneWidth {
 		return nil
 	}
-	if laneFallbackReason(insts) != "" {
+	if pc, _ := laneFallbackAt(insts); pc >= 0 {
 		return nil
 	}
-	lc := &LaneCompiled{prog: p, cost: cost, width: width}
+	lc := &LaneCompiled{prog: p, cost: cost, width: width, masked: !StraightLine(insts)}
+	if lc.masked {
+		return lc.compileSteps(insts, consts, dead)
+	}
 	for i := range insts {
 		in := &insts[i]
 		lc.cyclesPerLane += cost.InstCost(in)

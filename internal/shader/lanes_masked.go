@@ -1,17 +1,16 @@
 package shader
 
-// Divergence-masked lane execution.
+// Divergence-masked lane execution: the stepped form of the lane compiler.
 //
-// The straight-line SoA engine (lanes.go) refuses any program with real
-// control flow: a branch could send lanes down different paths and the
-// whole-batch inner loops would compute the wrong thing. Jacobi — the one
-// iterative kernel the paper's workloads center on — is exactly such a
-// program, so until now it paid per-fragment JIT dispatch on every draw.
-//
-// This file runs branchy programs through the same SoA register file under
-// an active-lane mask. The proof obligations that make this sound (checked
-// structurally by MaskedFallbackAt, cross-validated by the analysis
-// package's mask-safety rule and its CFG/range lattices):
+// The line form (lanes.go) runs every instruction over the whole batch, so
+// it only fits straight-line streams: a real branch could send lanes down
+// different paths. Jacobi — the one iterative kernel the paper's workloads
+// center on — is exactly such a program. compileLanes hands every stream
+// with a real jump, a KIL or an early RET to this file instead, which runs
+// it through the same SoA register file under an active-lane mask. The
+// proof obligations that make this sound (checked structurally by
+// LaneFallbackAt, cross-validated by the analysis package's mask-safety
+// rule and its CFG/range lattices):
 //
 //   - Forward branches only. Every BR/BRZ target strictly exceeds its own
 //     pc, so the program order is a topological order of the CFG and a
@@ -37,28 +36,15 @@ package shader
 // Execution model: each lane carries a resume pc (LaneEnv.nextPC). The
 // sweep visits each step once; lanes whose resume pc matches are active.
 // ALU steps stage the full-width result into scratch slab 3 and commit
-// only active lanes, reusing the straight-line per-op bodies (and thereby
+// only active lanes, reusing the line form's per-op bodies (and thereby
 // their audited bit-identity rules) unchanged. A batch of N lanes is
 // bit-identical — outputs, Discarded flags, Cycles, TexFetches — to N
 // serial interpreter invocations.
 //
-// The masked form is strictly slower per instruction than the straight
-// -line form (a full-width stage + masked commit per op, plus the active
-// scan), so engines try the straight-line compile first and use masked
-// only as the divergence fallback; both beat per-fragment JIT dispatch.
-
-import (
-	"fmt"
-	"os"
-)
-
-// noMaskedLanesEnv disables the divergence-masked lane backend
-// process-wide; read once at init, mirroring GLES2GPGPU_NO_LANES.
-var noMaskedLanesEnv = os.Getenv("GLES2GPGPU_NO_MASKED_LANES") != ""
-
-// DefaultMaskedLanes reports whether masked lane execution is enabled by
-// default (it is, unless GLES2GPGPU_NO_MASKED_LANES is set).
-func DefaultMaskedLanes() bool { return !noMaskedLanesEnv }
+// The masked form is strictly slower per instruction than the line form
+// (a full-width stage + masked commit per op, plus the active scan), which
+// is why straight-line streams never take it; both beat per-fragment JIT
+// dispatch.
 
 // maskedStep kinds. ALU steps carry a lane closure; control steps are
 // interpreted by runMasked directly.
@@ -83,123 +69,15 @@ type maskedStep struct {
 	cond   laneSrc // mskBRZ/mskKIL: operand A with swizzle/negation folded; .x decides
 }
 
-// MaskedFallbackReason reports why p cannot run on the divergence-masked
-// lane engine, or "" when it is mask-eligible. Unlike LaneFallbackReason,
-// forward branches, discard, and early return are all fine; only backward
-// branches (potential divergence without bound) and unimplemented opcodes
-// disqualify.
-func MaskedFallbackReason(p *Program) string {
-	_, reason := MaskedFallbackAt(p)
-	return reason
-}
-
-// MaskedFallbackAt is MaskedFallbackReason with the offending instruction
-// index attached for tooling (glslint's mask rule). pc is -1 when the
-// program is mask-eligible.
-func MaskedFallbackAt(p *Program) (pc int, reason string) {
-	return maskedFallbackAt(p.Insts)
-}
-
-func maskedFallbackAt(insts []Inst) (int, string) {
+// compileSteps fills lc.steps from an instruction stream with
+// (forward-only) control flow; nil when an instruction has no lane body.
+// Dead instructions follow the OptProgram contract: they charge their cost
+// at their own pc (flow-sensitively, per active lane) and a dead TEX still
+// counts one fetch per active lane.
+func (lc *LaneCompiled) compileSteps(insts []Inst, consts [][4]float32, dead []bool) *LaneCompiled {
 	for i := range insts {
 		in := &insts[i]
-		switch in.Op {
-		case OpBR, OpBRZ:
-			if int(in.Target) <= i {
-				return i, fmt.Sprintf("backward branch at pc %d to %d (lanes could diverge without bound)", i, in.Target)
-			}
-		case OpKIL, OpRET:
-			// Per-lane retirement: fine anywhere under a mask.
-		default:
-			if !laneOpSupported(in.Op) {
-				return i, fmt.Sprintf("opcode %s at pc %d has no lane implementation", in.Op, i)
-			}
-		}
-	}
-	return -1, ""
-}
-
-// MaskedLaneCompiled returns the divergence-masked lane form of p under
-// cost at width, building it on first use and caching it on the Program
-// (same one-entry keying as LaneCompiled, in a separate slot). Returns nil
-// when the program has a backward branch, uses an unsupported opcode, or
-// width is out of range; callers fall back to the per-fragment JIT.
-// Straight-line programs compile too (every step simply runs all-active),
-// but engines should prefer LaneCompiled for those — it avoids the
-// per-step stage/commit and active-lane scan.
-func (p *Program) MaskedLaneCompiled(cost *CostModel, width int) *LaneCompiled {
-	if c := p.lanesMasked.Load(); c != nil && c.cost == cost && c.width == width {
-		if c.cyclesPerLane < 0 {
-			return nil // cached ineligibility
-		}
-		return c
-	}
-	p.jitMu.Lock()
-	defer p.jitMu.Unlock()
-	if c := p.lanesMasked.Load(); c != nil && c.cost == cost && c.width == width {
-		if c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	c := compileMaskedLanes(p, p.Insts, p.Consts, nil, cost, width)
-	if c == nil {
-		p.lanesMasked.Store(&LaneCompiled{prog: p, cost: cost, width: width, masked: true, cyclesPerLane: -1})
-		return nil
-	}
-	p.lanesMasked.Store(c)
-	return c
-}
-
-// MaskedLaneCompiledOpt returns the masked lane form of p's optimised
-// program, cached in its own slot keyed by (cost, width, OptProgram)
-// identity; falls back to MaskedLaneCompiled when no OptProgram is
-// attached. Returns nil when ineligible.
-func (p *Program) MaskedLaneCompiledOpt(cost *CostModel, width int) *LaneCompiled {
-	o := p.Optimized()
-	if o == nil {
-		return p.MaskedLaneCompiled(cost, width)
-	}
-	if c := p.lanesMaskedOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
-		if c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	p.jitMu.Lock()
-	defer p.jitMu.Unlock()
-	if c := p.lanesMaskedOpt.Load(); c != nil && c.cost == cost && c.width == width && c.opt == o {
-		if c.cyclesPerLane < 0 {
-			return nil
-		}
-		return c
-	}
-	c := compileMaskedLanes(p, o.Insts, o.Consts, o.Dead, cost, width)
-	if c == nil {
-		p.lanesMaskedOpt.Store(&LaneCompiled{prog: p, cost: cost, opt: o, width: width, masked: true, cyclesPerLane: -1})
-		return nil
-	}
-	c.opt = o
-	p.lanesMaskedOpt.Store(c)
-	return c
-}
-
-// compileMaskedLanes translates an instruction stream with (forward-only)
-// control flow into masked steps; nil when the stream is mask-ineligible
-// or the width is out of range. Dead instructions follow the OptProgram
-// contract: they charge their cost at their own pc (flow-sensitively, per
-// active lane) and a dead TEX still counts one fetch per active lane.
-func compileMaskedLanes(p *Program, insts []Inst, consts [][4]float32, dead []bool, cost *CostModel, width int) *LaneCompiled {
-	if width < 2 || width > MaxLaneWidth {
-		return nil
-	}
-	if pc, _ := maskedFallbackAt(insts); pc >= 0 {
-		return nil
-	}
-	lc := &LaneCompiled{prog: p, cost: cost, width: width, masked: true}
-	for i := range insts {
-		in := &insts[i]
-		st := maskedStep{kind: mskDead, cost: cost.InstCost(in)}
+		st := maskedStep{kind: mskDead, cost: lc.cost.InstCost(in)}
 		switch in.Op {
 		case OpNOP:
 			// cost-only

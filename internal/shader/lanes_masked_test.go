@@ -1,95 +1,24 @@
 package shader
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// Differential testing of the divergence-masked lane backend against the
+// Differential testing of the masked (stepped) lane form against the
 // reference interpreter: a batch of N lanes with forward branches, discard
 // and early return must produce, for every lane, bit-identical outputs,
 // the same Discarded flag, and summed Cycles/TexFetches equal to N serial
-// interpreter invocations — divergence and all.
-
-// runMaskedLaneDiff executes p serially (interpreter, one fresh Env per
-// lane) and as one masked lane batch, then compares per-lane outputs,
-// Discarded flags, and summed counters.
-func runMaskedLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []Vec4, inputs [][]Vec4) {
-	t.Helper()
-	lc := p.MaskedLaneCompiled(cost, width)
-	if lc == nil {
-		t.Fatalf("mask-eligible program did not compile (reason: %q):\n%s",
-			MaskedFallbackReason(p), p.Disassemble())
-	}
-	if !lc.Masked() {
-		t.Fatal("MaskedLaneCompiled returned a non-masked form")
-	}
-
-	le := NewLaneEnv(p, width)
-	le.Sample = diffSampler
-	le.SetUniforms(uni)
-	var wantOut [][]Vec4
-	var wantDiscard []bool
-	var wantCycles, wantTex int64
-	for lane := 0; lane < n; lane++ {
-		e := NewEnv(p)
-		e.Sample = diffSampler
-		copy(e.Uniforms, uni)
-		copy(e.Inputs, inputs[lane])
-		if err := Run(p, e, cost); err != nil {
-			t.Fatalf("interp lane %d: %v", lane, err)
-		}
-		wantOut = append(wantOut, append([]Vec4(nil), e.Outputs...))
-		wantDiscard = append(wantDiscard, e.Discarded)
-		wantCycles += e.Cycles
-		wantTex += e.TexFetches
-		for reg, v := range inputs[lane] {
-			le.SetInput(lane, reg, v)
-		}
-	}
-
-	le.N = n
-	lc.Run(le)
-	if le.Cycles != wantCycles {
-		t.Fatalf("Cycles divergence: serial %d, masked lanes %d (w=%d n=%d)\n%s",
-			wantCycles, le.Cycles, width, n, p.Disassemble())
-	}
-	if le.TexFetches != wantTex {
-		t.Fatalf("TexFetches divergence: serial %d, masked lanes %d (w=%d n=%d)\n%s",
-			wantTex, le.TexFetches, width, n, p.Disassemble())
-	}
-	for lane := 0; lane < n; lane++ {
-		if le.Discarded[lane] != wantDiscard[lane] {
-			t.Fatalf("lane %d Discarded divergence: serial %v, masked %v (w=%d n=%d)\n%s",
-				lane, wantDiscard[lane], le.Discarded[lane], width, n, p.Disassemble())
-		}
-		// Outputs are compared even for discarded lanes: the masked engine
-		// executes exactly the interpreter's prefix for that lane, so the
-		// partially-written output bank must match too.
-		for reg := range wantOut[lane] {
-			got := le.Output(lane, reg)
-			want := wantOut[lane][reg]
-			for c := 0; c < 4; c++ {
-				if want[c] != want[c] && got[c] != got[c] {
-					continue // both NaN: equivalent
-				}
-				if math.Float32bits(want[c]) != math.Float32bits(got[c]) {
-					t.Fatalf("lane %d output %d.%d divergence: serial %g (%#08x), masked %g (%#08x) (w=%d n=%d)\n%s",
-						lane, reg, c, want[c], math.Float32bits(want[c]),
-						got[c], math.Float32bits(got[c]), width, n, p.Disassemble())
-				}
-			}
-		}
-	}
-}
+// interpreter invocations — divergence and all. The diff helpers live in
+// lanes_test.go.
 
 // TestDifferentialMaskedLaneFuzz drives 400 quick-generated seeds through
 // randomized IR programs *with* control flow — forward BR/BRZ, KIL, early
 // RET, the exact shape class the straight-line engine refuses — at random
 // widths and live-lane counts. Every lane must match a serial interpreter
-// run bitwise, including the Discarded flag and per-lane-summed counters.
+// run bitwise, including the Discarded flag and per-lane-summed counters,
+// and the compiler must pick the masked form exactly for branchy streams.
 func TestDifferentialMaskedLaneFuzz(t *testing.T) {
 	cost := DefaultCostModel()
 	check := func(seed int64) bool {
@@ -99,7 +28,7 @@ func TestDifferentialMaskedLaneFuzz(t *testing.T) {
 		for probe := 0; probe < 2; probe++ {
 			n := 1 + rng.Intn(width)
 			uni, inputs := fuzzInputs(rng, p, n)
-			runMaskedLaneDiff(t, p, &cost, width, n, uni, inputs)
+			runLaneDiff(t, p, &cost, width, n, uni, inputs)
 		}
 		return true
 	}
@@ -112,9 +41,9 @@ func TestDifferentialMaskedLaneFuzz(t *testing.T) {
 	}
 }
 
-// TestDifferentialMaskedStraightLine pins that the masked engine is also
+// TestDifferentialMaskedStraightLine pins that the masked form is also
 // correct on straight-line programs (all lanes stay active throughout):
-// engines prefer the unmasked form there, but the masked compile must not
+// the compiler picks the line form there, but the masked form must not
 // depend on divergence actually occurring.
 func TestDifferentialMaskedStraightLine(t *testing.T) {
 	cost := DefaultCostModel()
@@ -124,7 +53,7 @@ func TestDifferentialMaskedStraightLine(t *testing.T) {
 		width := 2 + rng.Intn(MaxLaneWidth-1)
 		n := 1 + rng.Intn(width)
 		uni, inputs := fuzzInputs(rng, p, n)
-		runMaskedLaneDiff(t, p, &cost, width, n, uni, inputs)
+		runSteppedDiff(t, p, &cost, width, n, uni, inputs)
 		return true
 	}
 	cfg := &quick.Config{
@@ -136,18 +65,15 @@ func TestDifferentialMaskedStraightLine(t *testing.T) {
 	}
 }
 
-// TestDifferentialMaskedKernelSuite runs every generated kernel through
-// the masked engine. The point of the whole exercise: jacobi — branchy,
-// lane-ineligible — must masked-compile and match the interpreter bitwise.
+// TestDifferentialMaskedKernelSuite forces every generated kernel through
+// the masked form, straight-line ones included, so the form is exercised
+// on the full opcode mix the compiler emits, not only on jacobi.
 func TestDifferentialMaskedKernelSuite(t *testing.T) {
 	cost := DefaultCostModel()
 	rng := rand.New(rand.NewSource(20260808))
 	for name, p := range kernelSuite(t) {
 		p := p
 		t.Run(name, func(t *testing.T) {
-			if reason := MaskedFallbackReason(p); reason != "" {
-				t.Fatalf("kernel unexpectedly mask-ineligible: %s", reason)
-			}
 			for _, width := range []int{2, 8, 16} {
 				for _, n := range []int{1, width/2 + 1, width} {
 					uni := make([]Vec4, maxi(p.NumUniform, 1))
@@ -162,7 +88,7 @@ func TestDifferentialMaskedKernelSuite(t *testing.T) {
 						}
 						inputs = append(inputs, in)
 					}
-					runMaskedLaneDiff(t, p, &cost, width, n, uni, inputs)
+					runSteppedDiff(t, p, &cost, width, n, uni, inputs)
 				}
 			}
 		})
@@ -171,7 +97,7 @@ func TestDifferentialMaskedKernelSuite(t *testing.T) {
 
 // TestMaskedDivergencePinned pins a hand-built divergence scenario where
 // different lanes take each path of a BRZ, one lane discards, and one lane
-// early-returns — the masked engine's whole feature matrix in one batch.
+// early-returns — the masked form's whole feature matrix in one batch.
 func TestMaskedDivergencePinned(t *testing.T) {
 	cost := DefaultCostModel()
 	p := &Program{
@@ -200,48 +126,51 @@ func TestMaskedDivergencePinned(t *testing.T) {
 	}
 	uni := []Vec4{{0.25, 0.5, 0.75, 1}}
 	for _, width := range []int{6, 8, 16} {
-		runMaskedLaneDiff(t, p, &cost, width, len(inputs), uni, inputs)
+		runLaneDiff(t, p, &cost, width, len(inputs), uni, inputs)
 	}
 }
 
-// TestMaskedIneligible pins the masked fallback clauses: backward branches
-// are out (unbounded divergence), while everything the straight-line
-// engine refuses for shape reasons — forward jumps, discard, early RET —
-// is mask-eligible.
+// TestMaskedIneligible pins the lane compiler's one eligibility rule and
+// its form selection: backward branches are out (unbounded divergence);
+// real forward jumps, discard and early RET select the masked form; and
+// fall-through branches (emitted by the GLSL if-lowering) are cost-only,
+// so those programs keep the line form.
 func TestMaskedIneligible(t *testing.T) {
 	cost := DefaultCostModel()
 	mov := Inst{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0)}
 	cases := []struct {
-		name     string
-		insts    []Inst
-		eligible bool
+		name  string
+		insts []Inst
+		form  string // "line", "masked", or "" for ineligible
 	}{
-		{"forward-br", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, true},
-		{"forward-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, true},
-		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, true},
-		{"early-ret", []Inst{{Op: OpRET}, mov}, true},
-		{"self-loop", []Inst{mov, {Op: OpBR, Target: 1}, {Op: OpRET}}, false},
-		{"backward-brz", []Inst{mov, {Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 0}, {Op: OpRET}}, false},
+		{"fallthrough-br", []Inst{{Op: OpBR, Target: 1}, mov, {Op: OpRET}}, "line"},
+		{"fallthrough-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 1}, mov, {Op: OpRET}}, "line"},
+		{"forward-br", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, "masked"},
+		{"forward-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, "masked"},
+		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, "masked"},
+		{"early-ret", []Inst{{Op: OpRET}, mov}, "masked"},
+		{"self-loop", []Inst{mov, {Op: OpBR, Target: 1}, {Op: OpRET}}, ""},
+		{"backward-brz", []Inst{mov, {Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 0}, {Op: OpRET}}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1, Insts: tc.insts}
-			lc := p.MaskedLaneCompiled(&cost, 8)
-			reason := MaskedFallbackReason(p)
-			if tc.eligible {
-				if lc == nil {
-					t.Fatalf("expected mask-eligible, got fallback: %s", reason)
-				}
-				if reason != "" {
-					t.Fatalf("eligible program reported reason %q", reason)
-				}
-			} else {
+			lc := p.LaneCompiled(&cost, 8)
+			_, reason := LaneFallbackAt(p)
+			switch {
+			case tc.form == "":
 				if lc != nil {
-					t.Fatal("expected mask-ineligible")
+					t.Fatal("expected lane-ineligible")
 				}
 				if reason == "" {
 					t.Fatal("ineligible program must report a reason")
 				}
+			case lc == nil:
+				t.Fatalf("expected eligible, got fallback: %s", reason)
+			case reason != "":
+				t.Fatalf("eligible program reported reason %q", reason)
+			case lc.Masked() != (tc.form == "masked"):
+				t.Fatalf("masked=%v, want the %s form", lc.Masked(), tc.form)
 			}
 		})
 	}
@@ -264,9 +193,9 @@ func TestMaskedRunAllocs(t *testing.T) {
 		},
 	}
 	const width = 8
-	lc := p.MaskedLaneCompiled(&cost, width)
-	if lc == nil {
-		t.Fatal("program must masked-compile")
+	lc := p.LaneCompiled(&cost, width)
+	if lc == nil || !lc.Masked() {
+		t.Fatal("program must compile to the masked form")
 	}
 	env := NewLaneEnv(p, width)
 	env.Samplers = []TexFunc{func(u, v float32) Vec4 { return Vec4{u, v, u + v, 1} }}

@@ -14,22 +14,44 @@ import (
 // sums. Same bitwise comparison rules as the JIT differential tests
 // (diffBank): sign of zero matters, all NaNs form one equivalence class.
 
-// runLaneDiff executes p serially (interpreter, one fresh Env per lane)
-// and as one lane batch, then compares per-lane outputs and summed
-// counters. uni is broadcast to all lanes, inputs[lane] feeds lane's
-// input bank. n may be less than width (partial batch).
+// runLaneDiff lane-compiles p at width, checks the compiler picked the
+// line form exactly for straight-line streams, and diffs a batch of n
+// lanes against the interpreter (diffLanes).
 func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []Vec4, inputs [][]Vec4) {
 	t.Helper()
 	lc := p.LaneCompiled(cost, width)
 	if lc == nil {
-		t.Fatalf("lane-eligible program did not compile (reason: %q):\n%s",
-			LaneFallbackReason(p), p.Disassemble())
+		_, reason := LaneFallbackAt(p)
+		t.Fatalf("lane-eligible program did not compile (reason: %q):\n%s", reason, p.Disassemble())
 	}
+	if lc.Masked() == StraightLine(p.Insts) {
+		t.Fatalf("masked=%v for a program with StraightLine=%v:\n%s", lc.Masked(), !lc.Masked(), p.Disassemble())
+	}
+	diffLanes(t, p, lc, cost, width, n, uni, inputs)
+}
 
+// runSteppedDiff forces the masked (stepped) form whatever the stream's
+// shape, so straight-line programs exercise it too, and diffs it.
+func runSteppedDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []Vec4, inputs [][]Vec4) {
+	t.Helper()
+	lc := (&LaneCompiled{prog: p, cost: cost, width: width, masked: true}).compileSteps(p.Insts, p.Consts, nil)
+	if lc == nil {
+		t.Fatalf("program did not compile to the masked form:\n%s", p.Disassemble())
+	}
+	diffLanes(t, p, lc, cost, width, n, uni, inputs)
+}
+
+// diffLanes executes p serially (interpreter, one fresh Env per lane) and
+// as one batch of lc, then compares per-lane outputs, Discarded flags and
+// summed counters. uni is broadcast to all lanes, inputs[lane] feeds
+// lane's input bank. n may be less than width (partial batch).
+func diffLanes(t *testing.T, p *Program, lc *LaneCompiled, cost *CostModel, width, n int, uni []Vec4, inputs [][]Vec4) {
+	t.Helper()
 	le := NewLaneEnv(p, width)
 	le.Sample = diffSampler
 	le.SetUniforms(uni)
 	var wantOut [][]Vec4
+	var wantDiscard []bool
 	var wantCycles, wantTex int64
 	for lane := 0; lane < n; lane++ {
 		e := NewEnv(p)
@@ -40,6 +62,7 @@ func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []
 			t.Fatalf("interp lane %d: %v", lane, err)
 		}
 		wantOut = append(wantOut, append([]Vec4(nil), e.Outputs...))
+		wantDiscard = append(wantDiscard, e.Discarded)
 		wantCycles += e.Cycles
 		wantTex += e.TexFetches
 		for reg, v := range inputs[lane] {
@@ -50,14 +73,21 @@ func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []
 	le.N = n
 	lc.Run(le)
 	if le.Cycles != wantCycles {
-		t.Fatalf("Cycles divergence: serial %d, lanes %d (w=%d n=%d)\n%s",
-			wantCycles, le.Cycles, width, n, p.Disassemble())
+		t.Fatalf("Cycles divergence: serial %d, lanes %d (masked=%v w=%d n=%d)\n%s",
+			wantCycles, le.Cycles, lc.Masked(), width, n, p.Disassemble())
 	}
 	if le.TexFetches != wantTex {
-		t.Fatalf("TexFetches divergence: serial %d, lanes %d (w=%d n=%d)\n%s",
-			wantTex, le.TexFetches, width, n, p.Disassemble())
+		t.Fatalf("TexFetches divergence: serial %d, lanes %d (masked=%v w=%d n=%d)\n%s",
+			wantTex, le.TexFetches, lc.Masked(), width, n, p.Disassemble())
 	}
 	for lane := 0; lane < n; lane++ {
+		if le.Discarded[lane] != wantDiscard[lane] {
+			t.Fatalf("lane %d Discarded divergence: serial %v, lanes %v (masked=%v w=%d n=%d)\n%s",
+				lane, wantDiscard[lane], le.Discarded[lane], lc.Masked(), width, n, p.Disassemble())
+		}
+		// Outputs are compared even for discarded lanes: the masked form
+		// executes exactly the interpreter's prefix for that lane, so the
+		// partially-written output bank must match too.
 		for reg := range wantOut[lane] {
 			got := le.Output(lane, reg)
 			want := wantOut[lane][reg]
@@ -66,9 +96,9 @@ func runLaneDiff(t *testing.T, p *Program, cost *CostModel, width, n int, uni []
 					continue // both NaN: equivalent
 				}
 				if math.Float32bits(want[c]) != math.Float32bits(got[c]) {
-					t.Fatalf("lane %d output %d.%d divergence: serial %g (%#08x), lanes %g (%#08x) (w=%d n=%d)\n%s",
+					t.Fatalf("lane %d output %d.%d divergence: serial %g (%#08x), lanes %g (%#08x) (masked=%v w=%d n=%d)\n%s",
 						lane, reg, c, want[c], math.Float32bits(want[c]),
-						got[c], math.Float32bits(got[c]), width, n, p.Disassemble())
+						got[c], math.Float32bits(got[c]), lc.Masked(), width, n, p.Disassemble())
 				}
 			}
 		}
@@ -120,26 +150,20 @@ func TestDifferentialLaneFuzz(t *testing.T) {
 }
 
 // TestDifferentialLaneKernelSuite runs every generated kernel through the
-// lane engine at the supported widths. jacobi is the deliberate exception:
-// its boundary ternary lowers to real branches, so it must report
-// ineligibility and fall back.
+// lane compiler at the supported widths. Every kernel is eligible: the
+// straight-line ones take the line form, and jacobi — whose boundary
+// ternary lowers to real branches — takes the masked form.
 func TestDifferentialLaneKernelSuite(t *testing.T) {
 	cost := DefaultCostModel()
 	rng := rand.New(rand.NewSource(20260808))
 	for name, p := range kernelSuite(t) {
 		p := p
 		t.Run(name, func(t *testing.T) {
-			if name == "jacobi/fp32" || name == "jacobi/fp24" {
-				if lc := p.LaneCompiled(&cost, 8); lc != nil {
-					t.Fatal("jacobi is branchy and must not lane-compile")
-				}
-				if reason := LaneFallbackReason(p); reason == "" {
-					t.Fatal("jacobi must report a lane fallback reason")
-				}
-				return
-			}
-			if reason := LaneFallbackReason(p); reason != "" {
+			if _, reason := LaneFallbackAt(p); reason != "" {
 				t.Fatalf("kernel unexpectedly ineligible: %s", reason)
+			}
+			if (name == "jacobi/fp32" || name == "jacobi/fp24") == StraightLine(p.Insts) {
+				t.Fatal("jacobi alone among the kernels has real branches")
 			}
 			for _, width := range []int{2, 4, 8, 16} {
 				for _, n := range []int{1, width / 2, width} {
@@ -208,48 +232,6 @@ func TestLanePartialBatch(t *testing.T) {
 	for n := 1; n <= width; n++ {
 		uni, inputs := fuzzInputs(rng, p, n)
 		runLaneDiff(t, p, &cost, width, n, uni, inputs)
-	}
-}
-
-// TestLaneIneligible pins each fallback clause: real branch, discard,
-// early RET, and the branchless fall-through exception that stays
-// eligible.
-func TestLaneIneligible(t *testing.T) {
-	cost := DefaultCostModel()
-	mov := Inst{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0)}
-	cases := []struct {
-		name     string
-		insts    []Inst
-		eligible bool
-	}{
-		{"real-branch", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, false},
-		{"real-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, false},
-		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, false},
-		{"early-ret", []Inst{{Op: OpRET}, mov}, false},
-		{"fallthrough-br", []Inst{{Op: OpBR, Target: 1}, mov, {Op: OpRET}}, true},
-		{"fallthrough-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 1}, mov, {Op: OpRET}}, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := &Program{NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1, Insts: tc.insts}
-			lc := p.LaneCompiled(&cost, 8)
-			reason := LaneFallbackReason(p)
-			if tc.eligible {
-				if lc == nil {
-					t.Fatalf("expected eligible, got fallback: %s", reason)
-				}
-				if reason != "" {
-					t.Fatalf("eligible program reported reason %q", reason)
-				}
-			} else {
-				if lc != nil {
-					t.Fatal("expected lane-ineligible")
-				}
-				if reason == "" {
-					t.Fatal("ineligible program must report a reason")
-				}
-			}
-		})
 	}
 }
 
