@@ -130,27 +130,24 @@ func TestMaskedDivergencePinned(t *testing.T) {
 	}
 }
 
-// TestMaskedIneligible pins the lane compiler's one eligibility rule and
-// its form selection: backward branches are out (unbounded divergence);
-// real forward jumps, discard and early RET select the masked form; and
-// fall-through branches (emitted by the GLSL if-lowering) are cost-only,
-// so those programs keep the line form.
+// TestMaskedIneligible pins the lane compiler's one eligibility rule:
+// backward branches are out (unbounded divergence), while forward jumps,
+// discard and early RET are eligible in the masked form. TestLaneIneligible
+// pins which programs keep the line form.
 func TestMaskedIneligible(t *testing.T) {
 	cost := DefaultCostModel()
 	mov := Inst{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0)}
 	cases := []struct {
-		name  string
-		insts []Inst
-		form  string // "line", "masked", or "" for ineligible
+		name     string
+		insts    []Inst
+		eligible bool
 	}{
-		{"fallthrough-br", []Inst{{Op: OpBR, Target: 1}, mov, {Op: OpRET}}, "line"},
-		{"fallthrough-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 1}, mov, {Op: OpRET}}, "line"},
-		{"forward-br", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, "masked"},
-		{"forward-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, "masked"},
-		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, "masked"},
-		{"early-ret", []Inst{{Op: OpRET}, mov}, "masked"},
-		{"self-loop", []Inst{mov, {Op: OpBR, Target: 1}, {Op: OpRET}}, ""},
-		{"backward-brz", []Inst{mov, {Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 0}, {Op: OpRET}}, ""},
+		{"forward-br", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, true},
+		{"forward-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, true},
+		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, true},
+		{"early-ret", []Inst{{Op: OpRET}, mov}, true},
+		{"self-loop", []Inst{mov, {Op: OpBR, Target: 1}, {Op: OpRET}}, false},
+		{"backward-brz", []Inst{mov, {Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 0}, {Op: OpRET}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,7 +155,7 @@ func TestMaskedIneligible(t *testing.T) {
 			lc := p.LaneCompiled(&cost, 8)
 			_, reason := LaneFallbackAt(p)
 			switch {
-			case tc.form == "":
+			case !tc.eligible:
 				if lc != nil {
 					t.Fatal("expected lane-ineligible")
 				}
@@ -169,8 +166,8 @@ func TestMaskedIneligible(t *testing.T) {
 				t.Fatalf("expected eligible, got fallback: %s", reason)
 			case reason != "":
 				t.Fatalf("eligible program reported reason %q", reason)
-			case lc.Masked() != (tc.form == "masked"):
-				t.Fatalf("masked=%v, want the %s form", lc.Masked(), tc.form)
+			case !lc.Masked():
+				t.Fatal("eligible program must compile to the masked form")
 			}
 		})
 	}

@@ -235,6 +235,42 @@ func TestLanePartialBatch(t *testing.T) {
 	}
 }
 
+// TestLaneIneligible pins each clause that keeps a program out of the
+// line form: a real branch, discard and early RET select the masked form
+// instead, while branchless fall-through jumps stay in the line form.
+func TestLaneIneligible(t *testing.T) {
+	cost := DefaultCostModel()
+	mov := Inst{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileInput, 0)}
+	cases := []struct {
+		name  string
+		insts []Inst
+		line  bool
+	}{
+		{"real-branch", []Inst{{Op: OpBR, Target: 2}, mov, {Op: OpRET}}, false},
+		{"real-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 2}, mov, mov, {Op: OpRET}}, false},
+		{"discard", []Inst{{Op: OpKIL, A: SrcReg(FileInput, 0)}, mov, {Op: OpRET}}, false},
+		{"early-ret", []Inst{{Op: OpRET}, mov}, false},
+		{"fallthrough-br", []Inst{{Op: OpBR, Target: 1}, mov, {Op: OpRET}}, true},
+		{"fallthrough-brz", []Inst{{Op: OpBRZ, A: SrcReg(FileInput, 0), Target: 1}, mov, {Op: OpRET}}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Program{NumTemps: 1, NumInputs: 1, NumOutputs: 1, NumUniform: 1, Insts: tc.insts}
+			if got := StraightLine(p.Insts); got != tc.line {
+				t.Fatalf("StraightLine = %v, want %v", got, tc.line)
+			}
+			lc := p.LaneCompiled(&cost, 8)
+			if lc == nil {
+				_, reason := LaneFallbackAt(p)
+				t.Fatalf("expected eligible, got fallback: %s", reason)
+			}
+			if lc.Masked() == tc.line {
+				t.Fatalf("masked=%v, want the line form %v", lc.Masked(), tc.line)
+			}
+		})
+	}
+}
+
 // TestLaneDstAliasing pins the staged-write path: an instruction whose
 // destination register is also a source must see pre-instruction values
 // for every component (the interpreter reads sources into locals first).
