@@ -9,7 +9,6 @@
 //	glesbench -fig 3        # one figure: 3, vbo, 4a, 4b, 5a, 5b
 //	glesbench -size 1024    # matrix dimension of the timing runs
 //	glesbench -iters 100    # repetitions per configuration
-//	glesbench -nojit        # reference interpreter instead of the compiled engine
 //	glesbench -nopasses     # disable the host shader optimisation passes
 //	glesbench -nocoherence  # re-shade every tile instead of eliding unchanged ones
 //	glesbench -micro        # add shader-exec and sampling microbenchmarks
@@ -44,7 +43,6 @@ type benchJSON struct {
 	GoVersion   string       `json:"go_version"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Workers     int          `json:"workers"`
-	JIT         bool         `json:"jit"`
 	Passes      bool         `json:"passes"`
 	QuadFast    bool         `json:"quad_fast"`
 	Coherence   bool         `json:"coherence"`
@@ -76,7 +74,6 @@ func main() {
 	calib := flag.Int("calib", 64, "matrix dimension for the functional validation run")
 	iters := flag.Int("iters", 100, "measured benchmark-body repetitions")
 	workers := flag.Int("workers", 0, "host fragment-shading workers (0: GLES2GPGPU_WORKERS or GOMAXPROCS, 1: serial); virtual-time results are identical at any setting")
-	nojit := flag.Bool("nojit", false, "run shaders on the reference interpreter instead of the closure-compiled engine (A/B escape hatch; results are bit-identical, only host time changes)")
 	nopasses := flag.Bool("nopasses", false, "disable the host shader optimisation passes (A/B escape hatch; the passes are cycle-neutral, so results are bit-identical, only host time changes)")
 	nocoherence := flag.Bool("nocoherence", false, "re-shade every tile every draw instead of eliding tiles with unchanged inputs (A/B escape hatch; results are bit-identical, only host time changes)")
 	nofuse := flag.Bool("nofuse", false, "disable proof-gated pass fusion in the pipeline planner (A/B escape hatch; results are bit-identical, only host time changes)")
@@ -132,7 +129,7 @@ func main() {
 
 	o := bench.Opts{
 		PaperSize: *size, CalibSize: *calib, Iters: *iters, Workers: *workers,
-		NoJIT: *nojit, NoPasses: *nopasses, NoCoherence: *nocoherence,
+		NoPasses: *nopasses, NoCoherence: *nocoherence,
 	}
 	devs := bench.Devices()
 	report := benchJSON{
@@ -140,7 +137,6 @@ func main() {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    *workers,
-		JIT:        !*nojit && shader.DefaultJIT(),
 		Passes:     !*nopasses && shader.DefaultPasses(),
 		QuadFast:   raster.QuadFast(),
 		Coherence:  !*nocoherence && gles.DefaultCoherence(),

@@ -43,7 +43,6 @@ func main() {
 	stage := flag.String("stage", "fragment", "shader stage: fragment or vertex")
 	dev := flag.String("device", "generic", "device profile for limits and cycle costs: vc4, sgx or generic")
 	cycles := flag.Bool("cycles", true, "print the static cycle estimate")
-	compiled := flag.Bool("compiled", false, "dump the closure-compiled form: per-op specialization decisions (fast-path swizzle/mask hits, f32/f64 lanes, precomputed cycle blocks)")
 	lint := flag.Bool("lint", false, "run the static-analysis diagnostics (same rules as glslint)")
 	passes := flag.Bool("passes", false, "run the host optimisation passes and report what they did")
 	limits := flag.String("limits", "", "check dataflow-derived resource usage against a device profile: vc4, sgx, generic or all")
@@ -101,13 +100,6 @@ func main() {
 	if *cycles {
 		fmt.Printf("; static cycles per invocation on %s: %d\n",
 			prof.Name, prof.CostModel.StaticCycles(prog))
-	}
-	if *compiled {
-		if c := prog.Compiled(&prof.CostModel); c != nil {
-			c.Dump(os.Stdout)
-		} else {
-			fmt.Println("; jit: program not compilable, interpreter fallback")
-		}
 	}
 	if err := prog.CheckLimits(prof.Limits); err != nil {
 		fmt.Fprintf(os.Stderr, "glslc: %s: %v\n", prof.Name, err)

@@ -3,9 +3,11 @@ package bench
 // Lane-batched shader-execution microbenchmarks: how fast the host
 // simulates one shader invocation when batches of W fragments run through
 // each instruction at once (internal/shader/lanes.go), across
-// W ∈ {1, 4, 8, 16}. W=1 is the per-fragment closure JIT baseline, so
-// lanes-vs-w1 is the dispatch-amortisation speedup in isolation, and the
-// sweep is what picks shader.DefaultLaneWidth.
+// W ∈ {1, 4, 8, 16}. W=1 is the per-fragment baseline, the reference
+// interpreter with the optimisation passes on (what the engine runs for
+// fragments it does not lane-batch), so lanes-vs-w1 is the
+// dispatch-amortisation speedup in isolation, and the sweep is what picks
+// shader.DefaultLaneWidth.
 //
 // Every width replays exactly the same invocation stream and must produce
 // a bit-identical output checksum and virtual-cycle/TexFetch totals — the
@@ -29,7 +31,8 @@ import (
 // LaneMicroResult is one lane-width microbenchmark measurement.
 type LaneMicroResult struct {
 	Kernel string
-	// Width is the SoA batch width; 1 is the per-fragment JIT baseline.
+	// Width is the SoA batch width; 1 is the per-fragment interpreter
+	// baseline.
 	Width       int
 	Invocations int
 	HostMS      float64
@@ -146,7 +149,7 @@ func LaneMicro(ctx context.Context, invocations int) ([]LaneMicroResult, error) 
 			var cycles, tex int64
 			sum := uint64(14695981039346656037)
 			if w == 1 {
-				exec := shader.Executor(p, &cost, true, true)
+				exec := shader.Executor(p, &cost, true)
 				env := shader.NewEnv(p)
 				env.Uniforms = uniforms
 				env.Sample = laneHashSampler

@@ -75,16 +75,12 @@ type Opts struct {
 	// long the calibration takes on the host, never the virtual-time
 	// measurements.
 	Workers int
-	// NoJIT runs the functional calibration on the reference shader
-	// interpreter instead of the closure-compiled engine. Like Workers it
-	// changes host time only, never the virtual-time measurements.
-	NoJIT bool
 	// NoPasses disables the host-side shader optimisation passes for the
-	// functional calibration. Like NoJIT it changes host time only: the
+	// functional calibration. Like Workers it changes host time only: the
 	// passes are cycle-neutral, so virtual-time figures are identical.
 	NoPasses bool
 	// NoCoherence disables the cross-iteration tile-coherence cache for
-	// the functional calibration. Host time only, like NoJIT: elided
+	// the functional calibration. Host time only, like Workers: elided
 	// tiles replay their exact prior bytes and modelled cost.
 	NoCoherence bool
 }
@@ -204,9 +200,6 @@ func Measure(ctx context.Context, cfg core.Config, spec Spec, o Opts) (Result, e
 	// Functional calibration + validation.
 	if o.Workers != 0 {
 		cfg.Workers = o.Workers
-	}
-	if o.NoJIT {
-		cfg.NoJIT = true
 	}
 	if o.NoPasses {
 		cfg.NoPasses = true

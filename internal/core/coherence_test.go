@@ -13,8 +13,10 @@ import (
 
 // Coherence parity matrix: every state-stepping workload must produce
 // bit-identical final state, identical virtual time and identical step
-// behaviour across {coherence on/off} × {workers 1/4} × {jit/interp}.
-// Elision is a host-time optimisation only; these tests are the contract.
+// behaviour across {coherence on/off} × {workers 1/4}. Elision is a
+// host-time optimisation only; these tests are the contract. The
+// per-fragment sink's coherence hooks are covered in package gles, where
+// lane width 1 selects per-fragment shading.
 
 // cohTestPlate is the jacobi boundary condition: hot left edge.
 func cohTestPlate(n int) *codec.Matrix {
@@ -39,15 +41,13 @@ type cohCell struct {
 	name      string
 	coherence bool
 	workers   int
-	noJIT     bool
 }
 
 var cohCells = []cohCell{
-	{"off-w1-jit", false, 1, false}, // the reference cell
-	{"on-w1-jit", true, 1, false},
-	{"on-w4-jit", true, 4, false},
-	{"on-w1-interp", true, 1, true},
-	{"off-w4-jit", false, 4, false},
+	{"off-w1", false, 1}, // the reference cell
+	{"on-w1", true, 1},
+	{"on-w4", true, 4},
+	{"off-w4", false, 4},
 }
 
 // cohRunWorkload builds an engine for the cell, steps the workload and
@@ -63,7 +63,6 @@ func cohRunCell(t *testing.T, c cohCell, n, iters int,
 	t.Helper()
 	cfg := baseConfig(n)
 	cfg.Workers = c.workers
-	cfg.NoJIT = c.noJIT
 	cfg.NoCoherence = !c.coherence
 	e, err := NewEngine(cfg)
 	if err != nil {

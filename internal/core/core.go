@@ -130,22 +130,16 @@ type Config struct {
 	// environment variable, or GOMAXPROCS; 1 forces serial shading.
 	Workers int
 
-	// NoJIT forces the reference shader interpreter instead of the
-	// closure-compiled execution engine (the library equivalent of
-	// GLES2GPGPU_NO_JIT=1). Like Workers it changes host wall-clock time
-	// only: results and virtual-time figures are bit-identical either way.
-	NoJIT bool
-
 	// NoPasses disables the host-side shader optimisation passes (dead-code
 	// elimination, copy/constant propagation — the library equivalent of
-	// GLES2GPGPU_NO_PASSES=1). Like NoJIT it changes host wall-clock time
+	// GLES2GPGPU_NO_PASSES=1). Like Workers it changes host wall-clock time
 	// only: the passes are cycle-neutral, so results and virtual-time
 	// figures are bit-identical either way.
 	NoPasses bool
 
 	// NoCoherence disables the cross-iteration tile-coherence cache,
 	// re-shading every tile on every draw (the library equivalent of
-	// GLES2GPGPU_NO_COHERENCE=1). Like NoJIT it changes host wall-clock
+	// GLES2GPGPU_NO_COHERENCE=1). Like Workers it changes host wall-clock
 	// time only: elided tiles replay their exact prior output bytes and
 	// modelled cost, so framebuffer contents and every virtual-time
 	// figure are bit-identical either way.
@@ -178,7 +172,7 @@ type Config struct {
 	// passes through intermediate textures instead of one composed
 	// program (the library equivalent of GLES2GPGPU_NO_FUSE=1). Fusion is
 	// bit-identical by construction — output bytes, Cycles/TexFetches and
-	// every virtual-time figure match the unfused plan — so like NoJIT
+	// every virtual-time figure match the unfused plan — so like Workers
 	// this changes host work only. The default comes from pipeline's
 	// DefaultFuse (on, unless GLES2GPGPU_NO_FUSE is set); engines built
 	// by knob-matrix harnesses set it explicitly.
@@ -259,9 +253,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.gl = gles.NewContext(e.ectx)
 	if cfg.Workers != 0 {
 		e.gl.SetWorkers(cfg.Workers)
-	}
-	if cfg.NoJIT {
-		e.gl.SetJIT(false)
 	}
 	if cfg.NoPasses {
 		e.gl.SetPasses(false)

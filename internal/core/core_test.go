@@ -270,9 +270,8 @@ func TestJacobiMatchesReference(t *testing.T) {
 
 // TestJacobiRunsOnLanes pins that the branchy jacobi kernels — the reason
 // the lane compiler has a masked form — shade lane-batched on the default
-// configuration: with the JIT selected (the only mode that wants lanes,
-// chosen explicitly so a GLES2GPGPU_NO_JIT default cannot make the check
-// vacuous), no jacobi or jacobi8 draw falls back to per-fragment shading.
+// configuration: no jacobi or jacobi8 draw falls back to per-fragment
+// shading.
 func TestJacobiRunsOnLanes(t *testing.T) {
 	const n = 32
 	for _, tc := range []struct {
@@ -286,7 +285,6 @@ func TestJacobiRunsOnLanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.GL().SetJIT(true)
 		r, err := tc.new(e)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

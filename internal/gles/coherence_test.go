@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gles2gpgpu/internal/device"
+	"gles2gpgpu/internal/shader"
 )
 
 // Adversarial coherence tests: a 64×64 target under the default 32-texel
@@ -84,15 +85,36 @@ func (c *cohTestCtx) draw(t *testing.T, n int) (pixels []byte, out drawOutcome, 
 	return pixels, out, e1 - e0, s1 - s0
 }
 
-// TestCoherenceSingleTexelInvalidation walks the adversarial poke sequence,
-// asserting the exact elided/shaded split per draw and bit-identity with a
-// coherence-off mirror at every step.
+// TestCoherenceSingleTexelInvalidation walks the adversarial poke sequence
+// on the default engine (lane-batched shading).
 func TestCoherenceSingleTexelInvalidation(t *testing.T) {
+	cohInvalidationWalk(t, 0, shader.DefaultLaneWidth)
+}
+
+// TestCoherencePerFragmentSink walks the same sequence serially at lane
+// width 1, so the coherence hooks (fetch tracking, per-tile cover bits,
+// replay) run on the per-fragment sink the interpreter shades through.
+func TestCoherencePerFragmentSink(t *testing.T) {
+	cohInvalidationWalk(t, 1, 1)
+}
+
+// cohInvalidationWalk runs the poke sequence with both mirrored contexts at
+// the given worker count (0 keeps the default) and lane width, asserting
+// the exact elided/shaded split per draw and bit-identity with the
+// coherence-off mirror at every step.
+func cohInvalidationWalk(t *testing.T, workers, laneWidth int) {
+	t.Helper()
 	const n = 64 // 2×2 tiles of DefaultTileSize (32)
 	coh := newCohTestCtx(t, n, true)
 	defer coh.gl.Destroy()
 	ref := newCohTestCtx(t, n, false)
 	defer ref.gl.Destroy()
+	for _, c := range []*cohTestCtx{coh, ref} {
+		if workers != 0 {
+			c.gl.SetWorkers(workers)
+		}
+		c.gl.laneWidth = laneWidth
+	}
 
 	steps := []struct {
 		name           string

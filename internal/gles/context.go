@@ -238,11 +238,6 @@ type Context struct {
 	// changes.
 	fsLanePool *shader.LaneEnvPool
 
-	// jit selects the closure-compiled shader backend for draws; the
-	// interpreter remains the reference semantics and both produce
-	// bit-identical results (see internal/shader/jit.go).
-	jit bool
-
 	// passes selects the optimised program form (DCE + copy/constant
 	// propagation, attached at CompileShader time) for draws. The
 	// OptProgram contract (internal/shader/opt.go) keeps framebuffer
@@ -255,12 +250,13 @@ type Context struct {
 
 	// laneWidth is the SoA batch width of the lane engine (see sink.go),
 	// fixed at shader.DefaultLaneWidth; only in-package tests vary it
-	// (width 1 shades per-fragment).
+	// (width 1 shades every fragment per-fragment on the interpreter, the
+	// reference the parity tests compare against).
 	laneWidth int
 
-	// laneFallbackDraws counts draws that wanted lane execution (JIT on)
-	// but fell back to per-fragment shading — the lane adoption signal
-	// exported by the daemon as gles2gpgpud_lane_fallback_draws_total.
+	// laneFallbackDraws counts draws that wanted lane execution (width at
+	// least 2) but fell back to per-fragment shading — the lane adoption
+	// signal exported by the daemon as gles2gpgpud_lane_fallback_draws_total.
 	laneFallbackDraws int64
 
 	// coherence selects the cross-iteration tile-coherence engine (see
@@ -339,7 +335,6 @@ func NewContext(ec *egl.Context) *Context {
 		statCache:    make(map[statKey]drawStats),
 		progCache:    make(map[shaderCacheKey]shaderCacheEntry),
 		workers:      defaultWorkers(),
-		jit:          shader.DefaultJIT(),
 		passes:       shader.DefaultPasses(),
 		tileSize:     DefaultTileSize,
 		laneWidth:    shader.DefaultLaneWidth,
@@ -407,21 +402,11 @@ func (c *Context) SetFunctionalOnly(on bool) { c.functionalOnly = on }
 // FunctionalOnly reports the functional-only-mode state.
 func (c *Context) FunctionalOnly() bool { return c.functionalOnly }
 
-// SetJIT selects the shader execution backend: true runs draws on the
-// closure-compiled engine, false on the reference interpreter. Framebuffer
-// bytes, Cycles/TexFetches and every virtual-time figure are bit-identical
-// either way; only host wall-clock time changes. The default comes from
-// shader.DefaultJIT (on, unless GLES2GPGPU_NO_JIT is set).
-func (c *Context) SetJIT(on bool) { c.jit = on }
-
-// JIT reports whether the closure-compiled shader backend is selected.
-func (c *Context) JIT() bool { return c.jit }
-
 // SetPasses selects whether draws execute the optimised program form
 // produced by the analysis pass pipeline (DCE + copy/constant
 // propagation). Results are bit-identical either way — the OptProgram
 // contract charges dead instructions their cycle cost and counts dead
-// texture fetches — so this is an A/B escape hatch like SetJIT. The
+// texture fetches — so this is a host-time A/B escape hatch. The
 // default comes from shader.DefaultPasses (on, unless GLES2GPGPU_NO_PASSES
 // is set).
 func (c *Context) SetPasses(on bool) { c.passes = on }
@@ -429,8 +414,8 @@ func (c *Context) SetPasses(on bool) { c.passes = on }
 // Passes reports whether the optimised program form is selected.
 func (c *Context) Passes() bool { return c.passes }
 
-// LaneFallbackDraws returns the number of draws that wanted lane-batched
-// execution (JIT on) but shaded per-fragment because the fragment program
+// LaneFallbackDraws returns the number of draws that shaded per-fragment
+// on the interpreter instead of lane-batched because the fragment program
 // lacks the liveness proofs or fails shader.LaneFallbackAt.
 func (c *Context) LaneFallbackDraws() int64 { return c.laneFallbackDraws }
 
@@ -440,7 +425,7 @@ func (c *Context) LaneFallbackDraws() int64 { return c.laneFallbackDraws }
 // bytes instead of re-shading (see coherence.go). Framebuffer bytes,
 // Cycles/TexFetches and every virtual-time figure are bit-identical either
 // way — elided tiles still contribute their cached modelled cost — so this
-// is a host-time knob like SetJIT. Turning it off also drops the cached
+// is a host-time knob like SetPasses. Turning it off also drops the cached
 // snapshots. The default comes from DefaultCoherence (on, unless
 // GLES2GPGPU_NO_COHERENCE is set).
 func (c *Context) SetCoherence(on bool) {

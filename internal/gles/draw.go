@@ -174,12 +174,12 @@ func (c *Context) executeDraw(p *Program, tgt renderTarget, mode Enum, first, co
 	texFns := specializeSamplers(samplers)
 	sample := envSampler(samplers)
 
-	execVS := shader.Executor(vp, &c.prof.CostModel, c.jit, c.passes)
+	execVS := shader.Executor(vp, &c.prof.CostModel, c.passes)
 
 	// Lane adoption signal: count draws that wanted lane-batched shading
 	// but must run per-fragment (glslint's lane-fallback finding says why;
 	// the daemon exports the count per device).
-	if c.jit && c.laneWidth >= 2 && c.laneCompiledFor(fp) == nil {
+	if c.laneWidth >= 2 && c.laneCompiledFor(fp) == nil {
 		c.laneFallbackDraws++
 	}
 

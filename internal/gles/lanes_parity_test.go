@@ -1,112 +1,39 @@
 package gles
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"gles2gpgpu/internal/device"
+	"gles2gpgpu/internal/shader"
 )
 
-// Lane-batched execution parity: the full execution-strategy matrix
-// {interpreter, per-fragment JIT, lanes} × {serial, 4 workers} must
-// produce byte-identical framebuffers and bit-identical
-// fragment/cycle/TexFetch counters. The "jit" rows run the lane engine at
-// width 1, which shades every fragment through the per-fragment JIT; the
-// "lanes" rows run the one lane compiler (line form for straight-line
-// programs, masked form for branchy or discarding ones) at the default
-// width and at non-default widths, including ones that do not divide the
-// fragment count (the partial-final-batch path).
-
-// laneCfg is one cell of the execution-strategy matrix.
-type laneCfg struct {
-	engine  string // "interp", "jit" or "lanes"
-	workers int
-	width   int // lane width; 0 means the default (lanes only)
-}
-
-func (c laneCfg) name() string {
-	n := fmt.Sprintf("%s-w%d", c.engine, c.workers)
-	if c.width != 0 {
-		n += fmt.Sprintf("-lw%d", c.width)
-	}
-	return n
-}
-
-// runScenarioLanes is runScenario with the full engine choice: reference
-// interpreter, per-fragment closure JIT, or lane-batched SoA execution.
-func runScenarioLanes(t *testing.T, c laneCfg, w, h int, scenario func(gl *Context) uint32) drawOutcome {
-	t.Helper()
-	env := newEnv(t, device.Generic(), w, h, false)
-	gl := env.gl
-	gl.SetWorkers(c.workers)
-	gl.SetJIT(c.engine != "interp")
-	switch c.engine {
-	case "interp":
-	case "jit":
-		gl.laneWidth = 1
-	case "lanes":
-		if c.width != 0 {
-			gl.laneWidth = c.width
-		}
-	default:
-		t.Fatalf("unknown engine %q", c.engine)
-	}
-	defer gl.Destroy()
-	prog := scenario(gl)
-	if e := gl.GetError(); e != NO_ERROR {
-		t.Fatalf("%s: scenario error: %s", c.name(), ErrName(e))
-	}
-	out := drawOutcome{pixels: make([]byte, w*h*4)}
-	gl.ReadPixels(0, 0, w, h, RGBA, UNSIGNED_BYTE, out.pixels)
-	var ok bool
-	out.fragments, out.cycles, out.texFetches, ok = gl.DrawStatsFor(prog, w, h)
-	if !ok {
-		t.Fatal("no draw stats recorded")
-	}
-	return out
-}
+// Lane-batched execution parity: the execution-strategy matrix
+// {per-fragment, lanes} × {serial, 4 workers} must produce byte-identical
+// framebuffers and bit-identical fragment/cycle/TexFetch counters. The
+// per-fragment cells run at lane width 1, which shades every fragment on
+// the reference interpreter; serial width 1 is the reference. The lanes
+// cells run the one lane compiler (line form for straight-line programs,
+// masked form for branchy or discarding ones) at the default width and at
+// non-default widths, including ones that do not divide the fragment count
+// (the partial-final-batch path).
 
 // expectLaneParity runs the scenario through every cell of the matrix and
-// demands bit-identity with the serial interpreter.
+// demands bit-identity with the serial per-fragment reference.
 func expectLaneParity(t *testing.T, w, h int, scenario func(gl *Context) uint32) {
 	t.Helper()
-	ref := runScenarioLanes(t, laneCfg{engine: "interp", workers: 1}, w, h, scenario)
-	var cfgs []laneCfg
-	for _, engine := range []string{"interp", "jit", "lanes"} {
-		for _, workers := range []int{1, 4} {
-			if engine == "interp" && workers == 1 {
-				continue // the reference itself
-			}
-			cfgs = append(cfgs, laneCfg{engine: engine, workers: workers})
-		}
-	}
-	// Non-default widths, including ones that do not divide typical
-	// coverage counts so the final batch is partial.
-	for _, width := range []int{2, 5, 16} {
+	ref := runScenario(t, reference, w, h, scenario)
+	cfgs := []engineCfg{{workers: 4, laneWidth: 1}}
+	// The default width, then non-default widths, including ones that do
+	// not divide typical coverage counts so the final batch is partial.
+	for _, width := range []int{shader.DefaultLaneWidth, 2, 5, 16} {
 		cfgs = append(cfgs,
-			laneCfg{engine: "lanes", workers: 1, width: width},
-			laneCfg{engine: "lanes", workers: 4, width: width})
+			engineCfg{workers: 1, laneWidth: width},
+			engineCfg{workers: 4, laneWidth: width})
 	}
 	for _, c := range cfgs {
-		got := runScenarioLanes(t, c, w, h, scenario)
-		if !bytes.Equal(ref.pixels, got.pixels) {
-			for i := range ref.pixels {
-				if ref.pixels[i] != got.pixels[i] {
-					t.Fatalf("%s: framebuffers diverge at byte %d (pixel %d): interp-serial %d, %s %d",
-						c.name(), i, i/4, ref.pixels[i], c.name(), got.pixels[i])
-				}
-			}
-		}
-		if ref.fragments != got.fragments {
-			t.Errorf("%s: fragments: %d vs %d", c.name(), ref.fragments, got.fragments)
-		}
-		if ref.cycles != got.cycles {
-			t.Errorf("%s: cycles: %d vs %d", c.name(), ref.cycles, got.cycles)
-		}
-		if ref.texFetches != got.texFetches {
-			t.Errorf("%s: tex fetches: %d vs %d", c.name(), ref.texFetches, got.texFetches)
-		}
+		c.name = fmt.Sprintf("lw%d-w%d", c.laneWidth, c.workers)
+		expectSame(t, c.name, ref, runScenario(t, c, w, h, scenario))
 	}
 }
 
@@ -132,6 +59,26 @@ void main() {
 }`)
 		gl.UseProgram(p)
 		gl.Uniform1i(gl.GetUniformLocation(p, "u_tex"), 0)
+		drawQuad(t, gl, p)
+		return p
+	})
+}
+
+// TestLaneParityTranscendental: float64-path ops (sin, pow, inversesqrt)
+// must round identically on lanes and on the interpreter.
+func TestLaneParityTranscendental(t *testing.T) {
+	const n = 64
+	expectLaneParity(t, n, n, func(gl *Context) uint32 {
+		p := buildProgram(t, gl, quadVS, `
+precision mediump float;
+varying vec2 v_tex;
+void main() {
+	float a = sin(v_tex.x * 6.28) * 0.5 + 0.5;
+	float b = pow(v_tex.y + 0.1, 2.2);
+	float c = inversesqrt(v_tex.x + 1.0);
+	gl_FragColor = vec4(a, fract(b), fract(c), 1.0);
+}`)
+		gl.UseProgram(p)
 		drawQuad(t, gl, p)
 		return p
 	})
@@ -176,7 +123,7 @@ void main() {
 
 // TestLaneParityBranchyFallback: a data-dependent if/else (the jacobi
 // shape) compiles to real control flow, so the lanes cells run it in the
-// masked form where the jit cells shade it per-fragment; pixels and
+// masked form where the width-1 cells shade it per-fragment; pixels and
 // counters still match the interpreter bit-for-bit.
 func TestLaneParityBranchyFallback(t *testing.T) {
 	const n = 32
@@ -221,7 +168,7 @@ varying vec2 v_val;
 void main() { gl_FragColor = vec4(v_val * 0.02, fract(v_val.x * 13.0) * 0.02, gl_PointCoord.y * 0.03); }`
 	draw := func(gl *Context, size float32, verts []float32, blend bool) uint32 {
 		p := buildProgram(t, gl, pointsVS, pointsFS)
-		if gl.laneWidth > 1 && gl.JIT() && gl.laneCompiledFor(gl.programs[p].fsProg) == nil {
+		if gl.laneWidth > 1 && gl.laneCompiledFor(gl.programs[p].fsProg) == nil {
 			t.Fatal("points program is not lane-eligible: the lane cells would not run lanes")
 		}
 		if blend {
@@ -262,12 +209,11 @@ void main() { gl_FragColor = vec4(v_val * 0.02, fract(v_val.x * 13.0) * 0.02, gl
 	})
 }
 
-// TestLaneFallbackCounter pins the fallback accounting with the JIT on
-// (the only mode where draws want lanes): an unproven program — it writes
-// gl_FragColor on one branch only, so OutputsAlwaysWritten fails — must
-// shade per-fragment and increments LaneFallbackDraws; a branchy proven
-// program runs masked lanes and a straight-line one the line form, and
-// neither counts a fallback.
+// TestLaneFallbackCounter pins the fallback accounting at the default lane
+// width: an unproven program — it writes gl_FragColor on one branch only,
+// so OutputsAlwaysWritten fails — must shade per-fragment and increments
+// LaneFallbackDraws; a branchy proven program runs masked lanes and a
+// straight-line one the line form, and neither counts a fallback.
 func TestLaneFallbackCounter(t *testing.T) {
 	const n = 32
 	unprovenFS := `
@@ -298,7 +244,6 @@ void main() {
 		env := newEnv(t, device.Generic(), n, n, false)
 		defer env.gl.Destroy()
 		gl := env.gl
-		gl.SetJIT(true)
 		p := buildProgram(t, gl, quadVS, fs)
 		gl.UseProgram(p)
 		drawQuad(t, gl, p)

@@ -16,18 +16,47 @@ type drawOutcome struct {
 	texFetches int64
 }
 
-// runScenario executes scenario on a fresh w×h context configured with the
-// given worker count and returns the framebuffer plus the measured stats of
-// the scenario's returned program.
-func runScenario(t *testing.T, workers, w, h int, scenario func(gl *Context) uint32) drawOutcome {
+// engineCfg is one cell of an execution-strategy matrix. Zero fields keep
+// the context's defaults.
+type engineCfg struct {
+	name    string
+	workers int
+	// laneWidth 1 shades every fragment per-fragment on the reference
+	// interpreter; serial width 1 is the reference of every matrix.
+	laneWidth int
+	tileSize  int
+	// passes, when set, selects the optimisation passes explicitly; nil
+	// keeps the default (GLES2GPGPU_NO_PASSES may turn them off).
+	passes *bool
+}
+
+// reference is the cell every parity matrix compares against: one worker
+// shading per-fragment on the interpreter.
+var reference = engineCfg{name: "reference", workers: 1, laneWidth: 1}
+
+// runScenario executes scenario on a fresh w×h context configured by cfg
+// and returns the framebuffer plus the measured stats of the scenario's
+// returned program.
+func runScenario(t *testing.T, cfg engineCfg, w, h int, scenario func(gl *Context) uint32) drawOutcome {
 	t.Helper()
 	env := newEnv(t, device.Generic(), w, h, false)
 	gl := env.gl
-	gl.SetWorkers(workers)
+	if cfg.workers != 0 {
+		gl.SetWorkers(cfg.workers)
+	}
+	if cfg.laneWidth != 0 {
+		gl.laneWidth = cfg.laneWidth
+	}
+	if cfg.tileSize != 0 {
+		gl.tileSize = cfg.tileSize
+	}
+	if cfg.passes != nil {
+		gl.SetPasses(*cfg.passes)
+	}
 	defer gl.Destroy()
 	prog := scenario(gl)
 	if e := gl.GetError(); e != NO_ERROR {
-		t.Fatalf("scenario error: %s", ErrName(e))
+		t.Fatalf("%s: scenario error: %s", cfg.name, ErrName(e))
 	}
 	out := drawOutcome{pixels: make([]byte, w*h*4)}
 	gl.ReadPixels(0, 0, w, h, RGBA, UNSIGNED_BYTE, out.pixels)
@@ -39,29 +68,36 @@ func runScenario(t *testing.T, workers, w, h int, scenario func(gl *Context) uin
 	return out
 }
 
+// expectSame demands that got, the outcome of cell name, reproduces ref:
+// identical framebuffers and identical virtual-time counters.
+func expectSame(t *testing.T, name string, ref, got drawOutcome) {
+	t.Helper()
+	if !bytes.Equal(ref.pixels, got.pixels) {
+		for i := range ref.pixels {
+			if ref.pixels[i] != got.pixels[i] {
+				t.Fatalf("%s: framebuffers diverge at byte %d (pixel %d): reference %d, got %d",
+					name, i, i/4, ref.pixels[i], got.pixels[i])
+			}
+		}
+	}
+	if ref.fragments != got.fragments {
+		t.Errorf("%s: fragments: %d vs %d", name, ref.fragments, got.fragments)
+	}
+	if ref.cycles != got.cycles {
+		t.Errorf("%s: cycles: %d vs %d", name, ref.cycles, got.cycles)
+	}
+	if ref.texFetches != got.texFetches {
+		t.Errorf("%s: tex fetches: %d vs %d", name, ref.texFetches, got.texFetches)
+	}
+}
+
 // expectParity runs the scenario serially and with four workers and demands
 // identical framebuffers and identical virtual-time counters.
 func expectParity(t *testing.T, w, h int, scenario func(gl *Context) uint32) {
 	t.Helper()
-	serial := runScenario(t, 1, w, h, scenario)
-	parallel := runScenario(t, 4, w, h, scenario)
-	if !bytes.Equal(serial.pixels, parallel.pixels) {
-		for i := range serial.pixels {
-			if serial.pixels[i] != parallel.pixels[i] {
-				t.Fatalf("framebuffers diverge at byte %d (pixel %d): serial %d, parallel %d",
-					i, i/4, serial.pixels[i], parallel.pixels[i])
-			}
-		}
-	}
-	if serial.fragments != parallel.fragments {
-		t.Errorf("fragments: serial %d, parallel %d", serial.fragments, parallel.fragments)
-	}
-	if serial.cycles != parallel.cycles {
-		t.Errorf("cycles: serial %d, parallel %d", serial.cycles, parallel.cycles)
-	}
-	if serial.texFetches != parallel.texFetches {
-		t.Errorf("tex fetches: serial %d, parallel %d", serial.texFetches, parallel.texFetches)
-	}
+	serial := runScenario(t, engineCfg{name: "serial", workers: 1}, w, h, scenario)
+	parallel := runScenario(t, engineCfg{name: "parallel", workers: 4}, w, h, scenario)
+	expectSame(t, "parallel", serial, parallel)
 }
 
 // checkerTexture builds a w×h RGBA texture with position-dependent bytes.
@@ -194,7 +230,7 @@ void main() { gl_FragColor = vec4(1.0/255.0); }`)
 
 	// The blended count must saturate exactly as serial accumulation does:
 	// 512 additive hits of 1/255 clamp to 255.
-	out := runScenario(t, 4, n, n, scenario)
+	out := runScenario(t, engineCfg{name: "parallel", workers: 4}, n, n, scenario)
 	y := (int(0.75*n) - 1 + n/2) // row of NDC y=0.5 → window y = 96
 	_ = y
 	found := false

@@ -1,91 +1,38 @@
 package gles
 
 import (
-	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"gles2gpgpu/internal/device"
+	"gles2gpgpu/internal/shader"
 )
 
-// runScenarioFull is runScenario with every execution knob explicit:
-// worker count, execution backend, and the host optimisation passes.
-func runScenarioFull(t *testing.T, workers int, jit, passes bool, w, h int, scenario func(gl *Context) uint32) drawOutcome {
-	t.Helper()
-	env := newEnv(t, device.Generic(), w, h, false)
-	gl := env.gl
-	gl.SetWorkers(workers)
-	gl.SetJIT(jit)
-	gl.SetPasses(passes)
-	defer gl.Destroy()
-	prog := scenario(gl)
-	if e := gl.GetError(); e != NO_ERROR {
-		t.Fatalf("scenario error: %s", ErrName(e))
-	}
-	out := drawOutcome{pixels: make([]byte, w*h*4)}
-	gl.ReadPixels(0, 0, w, h, RGBA, UNSIGNED_BYTE, out.pixels)
-	var ok bool
-	out.fragments, out.cycles, out.texFetches, ok = gl.DrawStatsFor(prog, w, h)
-	if !ok {
-		t.Fatal("no draw stats recorded")
-	}
-	return out
-}
-
 // expectPassesParity demands identical framebuffer bytes and identical
-// virtual-time counters across the full execution matrix the acceptance
-// criterion names: {interpreter, compiled} × {passes on, off} × {1, 4
-// workers}. The reference is the plainest configuration: serial
-// interpreter, passes off.
+// virtual-time counters across the execution matrix {per-fragment, lanes}
+// × {passes on, off} × {1, 4 workers}. The reference is the plainest
+// configuration: serial per-fragment interpreter, passes off.
 func expectPassesParity(t *testing.T, w, h int, scenario func(gl *Context) uint32) {
 	t.Helper()
-	ref := runScenarioFull(t, 1, false, false, w, h, scenario)
+	off := false
+	refCfg := reference
+	refCfg.passes = &off
+	ref := runScenario(t, refCfg, w, h, scenario)
 	for _, workers := range []int{1, 4} {
-		for _, jit := range []bool{false, true} {
+		for _, width := range []int{1, shader.DefaultLaneWidth} {
 			for _, passes := range []bool{false, true} {
-				if workers == 1 && !jit && !passes {
+				if workers == 1 && width == 1 && !passes {
 					continue
 				}
-				name := cfgName(workers, jit, passes)
-				got := runScenarioFull(t, workers, jit, passes, w, h, scenario)
-				if !bytes.Equal(ref.pixels, got.pixels) {
-					for i := range ref.pixels {
-						if ref.pixels[i] != got.pixels[i] {
-							t.Fatalf("%s: framebuffers diverge at byte %d (pixel %d): ref %d, got %d",
-								name, i, i/4, ref.pixels[i], got.pixels[i])
-						}
-					}
+				c := engineCfg{
+					name:    fmt.Sprintf("lw%d-w%d-passes=%v", width, workers, passes),
+					workers: workers, laneWidth: width, passes: &passes,
 				}
-				if ref.fragments != got.fragments {
-					t.Errorf("%s: fragments: %d vs %d", name, ref.fragments, got.fragments)
-				}
-				if ref.cycles != got.cycles {
-					t.Errorf("%s: cycles: %d vs %d", name, ref.cycles, got.cycles)
-				}
-				if ref.texFetches != got.texFetches {
-					t.Errorf("%s: tex fetches: %d vs %d", name, ref.texFetches, got.texFetches)
-				}
+				expectSame(t, c.name, ref, runScenario(t, c, w, h, scenario))
 			}
 		}
 	}
-}
-
-func cfgName(workers int, jit, passes bool) string {
-	var sb strings.Builder
-	if jit {
-		sb.WriteString("jit")
-	} else {
-		sb.WriteString("interp")
-	}
-	if passes {
-		sb.WriteString("+passes")
-	}
-	if workers > 1 {
-		sb.WriteString("-parallel")
-	} else {
-		sb.WriteString("-serial")
-	}
-	return sb.String()
 }
 
 // TestPassesParityOptimisableShader: a shader built to give the passes

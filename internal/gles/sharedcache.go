@@ -13,7 +13,7 @@ import "sync"
 // that the serve layer guarantees and ordinary callers should follow:
 //
 //   - All sharing contexts use the same *device.Profile instance. The
-//     closure-JIT cache on shader.Program is keyed by CostModel pointer
+//     lane-compiled cache on shader.Program is keyed by CostModel pointer
 //     identity, so distinct Profile copies would thrash it (correct, but
 //     recompiling per draw), and compile-time limit checks must agree.
 //   - All sharing contexts run the same pass-pipeline setting. The

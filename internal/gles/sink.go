@@ -13,10 +13,10 @@ package gles
 //     (internal/shader/lanes.go), then scatters the outputs back through
 //     writePixel IN GATHER ORDER.
 //   - Per-fragment mode otherwise: each fragment runs at once through the
-//     JIT or interpreter executor on one Env — a pooled Env for programs
-//     with the WritesBeforeReads + OutputsAlwaysWritten proofs, the
-//     context's own fsEnv for the rest, whose residual register state is
-//     part of their observable behaviour.
+//     reference interpreter on one Env — a pooled Env for programs with
+//     the WritesBeforeReads + OutputsAlwaysWritten proofs, the context's
+//     own fsEnv for the rest, whose residual register state is part of
+//     their observable behaviour.
 //
 // Gather-order scatter is what keeps lane mode bit-identical to
 // per-fragment execution:
@@ -32,8 +32,7 @@ package gles
 //     walk: the walk already visits fragments in the order the serial
 //     engine would for each pixel, and flushing preserves it.
 //
-// Lane eligibility is gated in laneCompiledFor: the lane engine is an
-// extension of the compiled backend (off when the JIT is off) and requires
+// Lane eligibility is gated in laneCompiledFor: the lane engine requires
 // the liveness proofs because pooled LaneEnvs carry stale register lanes
 // between draws exactly like pooled Envs do between fragments. The lane
 // compiler picks the form from the program itself: straight-line programs
@@ -89,10 +88,11 @@ type fragSink struct {
 
 // laneCompiledFor returns the lane-batched compiled form this draw's
 // fragment program executes on, or nil when the sink shades per-fragment:
-// JIT off, missing liveness proofs, or a program shader.LaneFallbackAt
-// rejects (a backward branch; the GLSL compiler emits none).
+// missing liveness proofs, lane width 1 (the in-package tests' reference
+// mode), or a program shader.LaneFallbackAt rejects (a backward branch;
+// the GLSL compiler emits none).
 func (c *Context) laneCompiledFor(fp *shader.Program) *shader.LaneCompiled {
-	if !c.jit || !proven(fp) {
+	if c.laneWidth < 2 || !proven(fp) {
 		return nil
 	}
 	if c.passes {
@@ -143,7 +143,7 @@ func (c *Context) newFragSink(p *Program, tgt renderTarget, sample shader.Sample
 		s.lpool = c.fsLanePoolFor(fp)
 		return s
 	}
-	s.exec = shader.Executor(fp, &c.prof.CostModel, c.jit, c.passes)
+	s.exec = shader.Executor(fp, &c.prof.CostModel, c.passes)
 	if proven(fp) {
 		s.epool = c.fsPool(fp)
 	} else {

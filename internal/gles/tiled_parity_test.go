@@ -1,80 +1,37 @@
 package gles
 
 import (
-	"bytes"
 	"testing"
 
-	"gles2gpgpu/internal/device"
 	"gles2gpgpu/internal/raster"
 )
 
-// runScenarioTiled runs a scenario with an explicit tile walk: tile size,
-// worker count and backend.
-func runScenarioTiled(t *testing.T, workers, tileSize int, jit bool, w, h int, scenario func(gl *Context) uint32) drawOutcome {
-	t.Helper()
-	env := newEnv(t, device.Generic(), w, h, false)
-	gl := env.gl
-	gl.SetWorkers(workers)
-	gl.tileSize = tileSize
-	gl.SetJIT(jit)
-	defer gl.Destroy()
-	prog := scenario(gl)
-	if e := gl.GetError(); e != NO_ERROR {
-		t.Fatalf("scenario error: %s", ErrName(e))
-	}
-	out := drawOutcome{pixels: make([]byte, w*h*4)}
-	gl.ReadPixels(0, 0, w, h, RGBA, UNSIGNED_BYTE, out.pixels)
-	var ok bool
-	out.fragments, out.cycles, out.texFetches, ok = gl.DrawStatsFor(prog, w, h)
-	if !ok {
-		t.Fatal("no draw stats recorded")
-	}
-	return out
-}
-
 // expectTilingParity demands identical framebuffers and virtual-time
-// counters across {tile sizes} × {workers} × {backend} × {quad fast path
-// on/off}, referenced against the serial walk: one tile covering the
-// target, one worker, the interpreter.
+// counters across {tile sizes} × {workers} × {lane width} × {quad fast
+// path on/off}, referenced against the serial walk: one tile covering the
+// target, one worker, per-fragment on the interpreter.
 func expectTilingParity(t *testing.T, w, h int, scenario func(gl *Context) uint32) {
 	t.Helper()
-	ref := runScenarioTiled(t, 1, max(w, h), false, w, h, scenario)
+	refCfg := reference
+	refCfg.tileSize = max(w, h)
+	ref := runScenario(t, refCfg, w, h, scenario)
 	defer raster.SetQuadFast(true)
 	for _, cfg := range []struct {
-		name     string
-		workers  int
-		tileSize int
-		jit      bool
+		engineCfg
 		quadFast bool
 	}{
-		{"tiles-4w", 4, DefaultTileSize, true, true},
-		{"tiles-4w-interp", 4, DefaultTileSize, false, true},
-		{"tiles-4w-small", 4, 16, true, true},
-		{"tiles-4w-tiny", 4, 8, false, true},
-		{"tiles-4w-huge", 4, 4096, true, true},
-		{"tiles-serial", 1, DefaultTileSize, true, true},
-		{"tiles-4w-noquadfast", 4, DefaultTileSize, true, false},
+		{engineCfg{name: "tiles-4w", workers: 4}, true},
+		{engineCfg{name: "tiles-4w-perfrag", workers: 4, laneWidth: 1}, true},
+		{engineCfg{name: "tiles-4w-small", workers: 4, tileSize: 16}, true},
+		{engineCfg{name: "tiles-4w-tiny", workers: 4, tileSize: 8, laneWidth: 1}, true},
+		{engineCfg{name: "tiles-4w-huge", workers: 4, tileSize: 4096}, true},
+		{engineCfg{name: "tiles-serial", workers: 1}, true},
+		{engineCfg{name: "tiles-4w-noquadfast", workers: 4}, false},
 	} {
 		raster.SetQuadFast(cfg.quadFast)
-		got := runScenarioTiled(t, cfg.workers, cfg.tileSize, cfg.jit, w, h, scenario)
+		got := runScenario(t, cfg.engineCfg, w, h, scenario)
 		raster.SetQuadFast(true)
-		if !bytes.Equal(ref.pixels, got.pixels) {
-			for i := range ref.pixels {
-				if ref.pixels[i] != got.pixels[i] {
-					t.Fatalf("%s: framebuffers diverge at byte %d (pixel %d): ref %d, got %d",
-						cfg.name, i, i/4, ref.pixels[i], got.pixels[i])
-				}
-			}
-		}
-		if ref.fragments != got.fragments {
-			t.Errorf("%s: fragments: %d vs %d", cfg.name, ref.fragments, got.fragments)
-		}
-		if ref.cycles != got.cycles {
-			t.Errorf("%s: cycles: %d vs %d", cfg.name, ref.cycles, got.cycles)
-		}
-		if ref.texFetches != got.texFetches {
-			t.Errorf("%s: tex fetches: %d vs %d", cfg.name, ref.texFetches, got.texFetches)
-		}
+		expectSame(t, cfg.name, ref, got)
 	}
 }
 

@@ -284,13 +284,6 @@ func TestFusionParity(t *testing.T) {
 	}{
 		{"default", func(c *core.Config) {}},
 		{"workers1", func(c *core.Config) { c.Workers = 1 }},
-		// The nolanes cells shade per-fragment on the interpreter, the one
-		// configuration without the lane engine.
-		{"nolanes", func(c *core.Config) { c.NoJIT = true }},
-		{"workers1-nolanes", func(c *core.Config) {
-			c.Workers = 1
-			c.NoJIT = true
-		}},
 	}
 	for _, tc := range visionCases(n) {
 		for _, kb := range knobs {

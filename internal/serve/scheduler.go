@@ -294,8 +294,8 @@ func (s *Scheduler) Stop() {
 
 // devicePool is one device's queue plus its workers' shared compilation
 // state. All engines in the pool are built from the same *device.Profile
-// instance — the condition for sharing compiled programs (the shader JIT
-// memoises per cost-model identity).
+// instance — the condition for sharing compiled programs (the lane
+// compiler memoises per cost-model identity).
 type devicePool struct {
 	name    string
 	profile *device.Profile

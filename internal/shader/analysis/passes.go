@@ -31,7 +31,7 @@ import (
 //
 // The differential tests complete the verification empirically: bit-exact
 // framebuffer bytes and identical Cycles/TexFetches/Discarded across
-// {interpreter, JIT} × {passes on, off} × worker counts.
+// {per-fragment interpreter, lanes} × {passes on, off} × worker counts.
 
 // Optimize runs the pass pipeline on p and returns the optimised execution
 // form, or nil for an empty program. The caller attaches the result with

@@ -197,9 +197,9 @@ func fillEnv(env *shader.Env, rng *rand.Rand) {
 }
 
 // TestPassParity is the core differential harness: for every kernel and
-// many random invocations, the four execution strategies — interpreter,
-// interpreter+passes, JIT, JIT+passes — must agree bit-for-bit on outputs
-// and exactly on Cycles, TexFetches and Discarded.
+// many random invocations, the interpreter with and without the passes
+// must agree bit-for-bit on outputs and exactly on Cycles, TexFetches and
+// Discarded.
 func TestPassParity(t *testing.T) {
 	const invocations = 64
 	cost := shader.DefaultCostModel()
@@ -214,10 +214,8 @@ func TestPassParity(t *testing.T) {
 			name string
 			run  func(*shader.Env) error
 		}{
-			{"interp", shader.Executor(p, &cost, false, false)},
-			{"interp+passes", shader.Executor(p, &cost, false, true)},
-			{"jit", shader.Executor(p, &cost, true, false)},
-			{"jit+passes", shader.Executor(p, &cost, true, true)},
+			{"interp", shader.Executor(p, &cost, false)},
+			{"interp+passes", shader.Executor(p, &cost, true)},
 		}
 		for inv := 0; inv < invocations; inv++ {
 			type result struct {

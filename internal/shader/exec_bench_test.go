@@ -9,9 +9,8 @@ import (
 )
 
 // BenchmarkShaderExec measures one fragment-shader invocation of the
-// paper's kernels on both execution backends. The compiled/interp ratio at
-// workers=1 is the host-time speedup the closure backend delivers (the
-// acceptance floor for this optimisation is 2×).
+// paper's kernels on the reference interpreter: the per-fragment baseline
+// that BenchmarkShaderExecLanes amortises.
 func BenchmarkShaderExec(b *testing.B) {
 	cost := DefaultCostModel()
 	benchKernel := func(name, src string) {
@@ -41,10 +40,7 @@ func BenchmarkShaderExec(b *testing.B) {
 			}
 		}
 		b.Run(name+"/interp", func(b *testing.B) {
-			run(b, Executor(p, &cost, false, false))
-		})
-		b.Run(name+"/compiled", func(b *testing.B) {
-			run(b, Executor(p, &cost, true, false))
+			run(b, Executor(p, &cost, false))
 		})
 	}
 
@@ -58,9 +54,9 @@ func BenchmarkShaderExec(b *testing.B) {
 }
 
 // BenchmarkShaderExecLanes measures per-invocation time of the lane-batched
-// engine against the per-fragment closure JIT on the straight-line kernels.
-// ns/op is per invocation in both cases (the lane runs divide by the batch
-// width), so lanes-vs-compiled is the dispatch-amortisation speedup.
+// engine on the straight-line kernels. ns/op is per invocation (the runs
+// divide by the batch width), so BenchmarkShaderExec's interp rows over
+// these are the dispatch-amortisation speedup.
 func BenchmarkShaderExecLanes(b *testing.B) {
 	cost := DefaultCostModel()
 	sampler := func(u, v float32) Vec4 { return Vec4{u, v, u * v, 1} }
@@ -74,21 +70,6 @@ func BenchmarkShaderExecLanes(b *testing.B) {
 			b.Fatalf("%s: compile: %v", name, err)
 		}
 		in := Vec4{0.421875, 0.734375, 0, 1}
-		b.Run(name+"/w1-jit", func(b *testing.B) {
-			exec := Executor(p, &cost, true, false)
-			env := NewEnv(p)
-			env.Samplers = []TexFunc{sampler, sampler}
-			for i := range env.Inputs {
-				env.Inputs[i] = in
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := exec(env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		for _, w := range []int{4, 8, 16} {
 			w := w
 			b.Run(fmt.Sprintf("%s/w%d", name, w), func(b *testing.B) {

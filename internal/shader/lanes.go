@@ -2,8 +2,9 @@ package shader
 
 // Lane-batched (SoA) shader execution.
 //
-// The closure JIT in jit.go removed per-instruction decode cost, but it
-// still pays one closure call per instruction per fragment. For the
+// The interpreter in vm.go re-decodes every instruction on every
+// invocation: a switch dispatch per instruction, a swizzle/negate resolve
+// per operand, a write-mask test per destination component. For the
 // paper-sized workloads the fragment program is a short straight line run
 // millions of times, so dispatch — not arithmetic — dominates host time.
 // Real mobile GPGPU stacks amortise exactly this cost with wide SIMD
@@ -15,8 +16,8 @@ package shader
 // over a structure-of-arrays register file: each register component is a
 // contiguous [W]float32 slab, so the per-op inner loop is a tight
 // bounds-check-eliminated float32 loop the compiler can keep in registers.
-// Closure dispatch is paid once per instruction per *batch*, amortising it
-// W×.
+// Decode is paid once per program and closure dispatch once per
+// instruction per *batch*, amortising it W×.
 //
 // One compiler, two forms. Every program LaneFallbackAt admits (forward
 // branches only, every opcode implemented — true of every program the
@@ -33,13 +34,37 @@ package shader
 //     stepped form in lanes_masked.go runs the same per-op bodies under a
 //     per-lane active mask.
 //
-// Bit-identity: every per-op lane rule (float32-native vs float64
-// round-trip, min32/max32 special-case order, expression shapes that decide
-// platform FMA fusion) is copied from jit.go, which is proven bit-identical
-// to the interpreter (see the float-precision audit there). Lanes never
-// interact — DPn reductions run within one lane's four components — so a
-// batch of N produces bit-for-bit the outputs of N serial invocations, and
-// Cycles/TexFetches advance by exactly N× the per-invocation amounts.
+// Bit-identity with the interpreter, which stays the reference semantics.
+// Float-precision audit (which ops may run float32-native):
+//
+//   - ADD/SUB/MUL/DIV/RCP: the interpreter computes in float64 and rounds
+//     to float32. For operations that are exactly rounded in both
+//     precisions, rounding the double result to single equals computing
+//     directly in single whenever the wide format carries at least 2p+2
+//     significand bits (Figueroa, "When is double rounding innocuous?").
+//     float64 has 53 >= 2*24+2, so these are bit-exact in float32.
+//   - Comparisons (SLT..SNE, SGN): float32→float64 conversion is exact,
+//     so the predicate value is identical; results 0.0/±1.0 are exact.
+//   - MIN/MAX: bit-exact only if the float32 versions reproduce
+//     math.Min/math.Max semantics — NaN normalisation (the float64 path
+//     collapses any NaN payload to float32(math.NaN())) and signed-zero
+//     selection. min32/max32 below do exactly that.
+//   - MAD, DPn, MUL24, CLAMP, SEL, MOV, TEX: the interpreter already
+//     executes these in float32; the lane bodies replicate the same
+//     expression shapes (same operation order, so any platform FMA-fusing
+//     decisions match too).
+//   - Transcendentals (FLR/CEIL/FRC/RSQ/SQRT/EX2/LG2/POW/EXP/LOG/trig,
+//     ABS): kept on the interpreter's float64 math-package path. Several
+//     would be safe in float32 (SQRT is exactly rounded; FLR/CEIL results
+//     are representable) but they bottom out in float64 math calls anyway,
+//     so there is nothing to win and no risk taken.
+//
+// Lanes never interact — DPn reductions run within one lane's four
+// components — so a batch of N produces bit-for-bit the outputs of N
+// serial invocations, and Cycles/TexFetches advance by exactly N× the
+// per-invocation amounts. The differential tests in lanes_test.go and
+// lanes_masked_test.go check this against the interpreter on the kernel
+// suite and on fuzzed programs.
 //
 // Garbage lanes: ALU loops run over the full width even when N < W; the
 // stale values in lanes N..W-1 are never observed (only lanes < N are
@@ -234,11 +259,11 @@ func (lc *LaneCompiled) Run(e *LaneEnv) {
 
 // LaneCompiled returns the lane-batched compiled form of p under cost at
 // the given width, building it on first use and caching it on the Program
-// (one-entry cache keyed by cost pointer and width, like the JIT cache —
-// an engine runs one profile at one width, so the key never thrashes in
-// practice). Returns nil when LaneFallbackAt rejects p or width is out of
-// range [2, MaxLaneWidth]; callers fall back to the per-fragment JIT or
-// interpreter.
+// (one-entry cache keyed by cost pointer and width — a Program belongs to
+// one device profile, and serving pools share Programs across engines of
+// one Profile at one width, so the key never thrashes in practice).
+// Returns nil when LaneFallbackAt rejects p or width is out of range
+// [2, MaxLaneWidth]; callers fall back to the interpreter.
 func (p *Program) LaneCompiled(cost *CostModel, width int) *LaneCompiled {
 	return p.laneCached(&p.lanes, nil, cost, width)
 }
@@ -257,12 +282,13 @@ func (p *Program) LaneCompiledOpt(cost *CostModel, width int) *LaneCompiled {
 }
 
 // laneCached serves one lane cache slot: lock-free reads, fills serialised
-// under jitMu. Ineligible programs cache a sentinel so the eligibility
+// under laneMu, so concurrent engines racing on a cold shared kernel
+// compile it once. Ineligible programs cache a sentinel so the eligibility
 // scan is not repeated per draw.
 func (p *Program) laneCached(slot *atomic.Pointer[LaneCompiled], o *OptProgram, cost *CostModel, width int) *LaneCompiled {
 	c := slot.Load()
 	if !c.keyed(cost, width, o) {
-		p.jitMu.Lock()
+		p.laneMu.Lock()
 		if c = slot.Load(); !c.keyed(cost, width, o) {
 			insts, consts, dead := p.Insts, p.Consts, []bool(nil)
 			if o != nil {
@@ -274,7 +300,7 @@ func (p *Program) laneCached(slot *atomic.Pointer[LaneCompiled], o *OptProgram, 
 			c.opt = o
 			slot.Store(c)
 		}
-		p.jitMu.Unlock()
+		p.laneMu.Unlock()
 	}
 	if c.cyclesPerLane < 0 {
 		return nil
@@ -325,7 +351,7 @@ func laneFallbackAt(insts []Inst) (int, string) {
 // next instruction); those are no-ops aside from their cycle cost —
 // reading the BRZ condition has no side effect — so they keep the stream
 // straight-line. It selects the lane compiler's line form over the masked
-// one, and the JIT's precomputed-cycles block form.
+// one.
 func StraightLine(insts []Inst) bool {
 	for i := range insts {
 		switch insts[i].Op {
@@ -560,8 +586,7 @@ func withFin(op laneOp, fin laneOp) laneOp {
 
 // compileLaneInst builds the lane closure for one non-control-flow
 // instruction. The per-op lane rules (float32 vs float64, expression
-// shapes) mirror compileInst in jit.go exactly; see the bit-identity notes
-// at the top of this file.
+// shapes) follow the float-precision audit at the top of this file.
 func (lc *LaneCompiled) compileLaneInst(consts [][4]float32, in *Inst) laneOp {
 	w := lc.width
 	wd, fin := lc.compileLaneDst(in)
@@ -900,3 +925,61 @@ var (
 	math64Pow   = math.Pow
 	math64Atan2 = math.Atan2
 )
+
+// min32 / max32 reproduce float32(math.Min/Max(float64(x), float64(y)))
+// bit-for-bit, including math.Min/Max's special-case order: the dominating
+// infinity is checked BEFORE NaN (math.Min(-Inf, NaN) is -Inf, not NaN),
+// any remaining NaN collapses to the canonical float32 NaN (exactly what
+// the float64 round-trip produces), and ±0 selection follows the sign bit.
+// For ordinary operands the comparison is exact because float32→float64
+// conversion is.
+func min32(x, y float32) float32 {
+	switch {
+	case math.IsInf(float64(x), -1) || math.IsInf(float64(y), -1):
+		return float32(math.Inf(-1))
+	case x != x || y != y:
+		return float32(math.NaN())
+	case x == 0 && x == y:
+		if math.Signbit(float64(x)) {
+			return x
+		}
+		return y
+	}
+	if x < y {
+		return x
+	}
+	return y
+}
+
+func max32(x, y float32) float32 {
+	switch {
+	case math.IsInf(float64(x), 1) || math.IsInf(float64(y), 1):
+		return float32(math.Inf(1))
+	case x != x || y != y:
+		return float32(math.NaN())
+	case x == 0 && x == y:
+		if math.Signbit(float64(x)) {
+			return y
+		}
+		return x
+	}
+	if x > y {
+		return x
+	}
+	return y
+}
+
+// resolveConst folds a constant-pool operand (with swizzle and negation)
+// into a value at compile time; out-of-range pool indices read zero,
+// exactly as constAt does.
+func resolveConst(consts [][4]float32, s Src) Vec4 {
+	var base Vec4
+	if int(s.Reg) < len(consts) {
+		base = Vec4(consts[s.Reg])
+	}
+	r := Vec4{base[s.Swiz[0]&3], base[s.Swiz[1]&3], base[s.Swiz[2]&3], base[s.Swiz[3]&3]}
+	if s.Neg {
+		r[0], r[1], r[2], r[3] = -r[0], -r[1], -r[2], -r[3]
+	}
+	return r
+}

@@ -43,8 +43,8 @@ package shader
 //
 // The masked form is strictly slower per instruction than the line form
 // (a full-width stage + masked commit per op, plus the active scan), which
-// is why straight-line streams never take it; both beat per-fragment JIT
-// dispatch.
+// is why straight-line streams never take it; both beat per-fragment
+// interpretation.
 
 // maskedStep kinds. ALU steps carry a lane closure; control steps are
 // interpreted by runMasked directly.

@@ -1,6 +1,7 @@
 package shader
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,8 +12,8 @@ import (
 // reference interpreter: a batch of N lanes must produce, for every lane,
 // bit-identical outputs to a serial interpreter invocation with the same
 // inputs, and the batch's Cycles/TexFetches deltas must equal the serial
-// sums. Same bitwise comparison rules as the JIT differential tests
-// (diffBank): sign of zero matters, all NaNs form one equivalence class.
+// sums. Banks compare with diffBank: sign of zero matters, all NaNs form
+// one equivalence class.
 
 // runLaneDiff lane-compiles p at width, checks the compiler picked the
 // line form exactly for straight-line streams, and diffs a batch of n
@@ -88,20 +89,12 @@ func diffLanes(t *testing.T, p *Program, lc *LaneCompiled, cost *CostModel, widt
 		// Outputs are compared even for discarded lanes: the masked form
 		// executes exactly the interpreter's prefix for that lane, so the
 		// partially-written output bank must match too.
-		for reg := range wantOut[lane] {
-			got := le.Output(lane, reg)
-			want := wantOut[lane][reg]
-			for c := 0; c < 4; c++ {
-				if want[c] != want[c] && got[c] != got[c] {
-					continue // both NaN: equivalent
-				}
-				if math.Float32bits(want[c]) != math.Float32bits(got[c]) {
-					t.Fatalf("lane %d output %d.%d divergence: serial %g (%#08x), lanes %g (%#08x) (masked=%v w=%d n=%d)\n%s",
-						lane, reg, c, want[c], math.Float32bits(want[c]),
-						got[c], math.Float32bits(got[c]), lc.Masked(), width, n, p.Disassemble())
-				}
-			}
+		got := make([]Vec4, len(wantOut[lane]))
+		for reg := range got {
+			got[reg] = le.Output(lane, reg)
 		}
+		diffBank(t, p, fmt.Sprintf("lane %d (masked=%v w=%d n=%d) output", lane, lc.Masked(), width, n),
+			wantOut[lane], got)
 	}
 }
 
@@ -151,8 +144,9 @@ func TestDifferentialLaneFuzz(t *testing.T) {
 
 // TestDifferentialLaneKernelSuite runs every generated kernel through the
 // lane compiler at the supported widths. Every kernel is eligible: the
-// straight-line ones take the line form, and jacobi — whose boundary
-// ternary lowers to real branches — takes the masked form.
+// straight-line ones take the line form with the whole per-invocation
+// cycle cost precomputed, and jacobi — whose boundary ternary lowers to
+// real branches — takes the masked form.
 func TestDifferentialLaneKernelSuite(t *testing.T) {
 	cost := DefaultCostModel()
 	rng := rand.New(rand.NewSource(20260808))
@@ -162,8 +156,19 @@ func TestDifferentialLaneKernelSuite(t *testing.T) {
 			if _, reason := LaneFallbackAt(p); reason != "" {
 				t.Fatalf("kernel unexpectedly ineligible: %s", reason)
 			}
-			if (name == "jacobi/fp32" || name == "jacobi/fp24") == StraightLine(p.Insts) {
+			jacobi := name == "jacobi/fp32" || name == "jacobi/fp24"
+			if jacobi == StraightLine(p.Insts) {
 				t.Fatal("jacobi alone among the kernels has real branches")
+			}
+			lc := p.LaneCompiled(&cost, DefaultLaneWidth)
+			if lc == nil {
+				t.Fatal("kernel did not lane-compile")
+			}
+			if lc.Masked() != jacobi {
+				t.Fatalf("masked=%v: only jacobi takes the masked form", lc.Masked())
+			}
+			if want := cost.StaticCycles(p); !jacobi && lc.cyclesPerLane != want {
+				t.Fatalf("line form precomputes %d cycles per lane, want StaticCycles %d", lc.cyclesPerLane, want)
 			}
 			for _, width := range []int{2, 4, 8, 16} {
 				for _, n := range []int{1, width / 2, width} {
@@ -268,6 +273,28 @@ func TestLaneIneligible(t *testing.T) {
 				t.Fatalf("masked=%v, want the line form %v", lc.Masked(), tc.line)
 			}
 		})
+	}
+}
+
+// TestLaneCompiledCache pins the lazy one-entry cache: the same cost
+// model and width return the same LaneCompiled, and a different cost
+// model recompiles with the new costs.
+func TestLaneCompiledCache(t *testing.T) {
+	cost1, cost2 := DefaultCostModel(), DefaultCostModel()
+	cost2.Costs[OpMOV] = 9
+	p := &Program{NumTemps: 1, NumOutputs: 1, Insts: []Inst{
+		{Op: OpMOV, Dst: DstReg(FileOutput, 0, 4), A: SrcReg(FileTemp, 0)},
+	}}
+	a := p.LaneCompiled(&cost1, DefaultLaneWidth)
+	if a == nil || p.LaneCompiled(&cost1, DefaultLaneWidth) != a {
+		t.Fatal("same cost model and width must return the cached LaneCompiled")
+	}
+	b := p.LaneCompiled(&cost2, DefaultLaneWidth)
+	if b == nil || b == a {
+		t.Fatal("different cost model must recompile")
+	}
+	if a.cyclesPerLane == b.cyclesPerLane {
+		t.Fatal("recompile must pick up the new costs")
 	}
 }
 

@@ -102,6 +102,19 @@ func RunOptimized(p *Program, env *Env, cost *CostModel) error {
 	return runInsts(o.Insts, o.Consts, o.Dead, env, cost)
 }
 
+// Executor returns the reference interpreter for p under cost as one
+// execution function: RunOptimized when usePasses is set and an
+// OptProgram is attached, else Run. It runs everything the lane engine
+// does not: vertex shaders, fragment programs without the liveness
+// proofs, and the per-fragment reference. The returned function is safe
+// for concurrent use with distinct Envs.
+func Executor(p *Program, cost *CostModel, usePasses bool) func(*Env) error {
+	if usePasses && p.Optimized() != nil {
+		return func(e *Env) error { return RunOptimized(p, e, cost) }
+	}
+	return func(e *Env) error { return Run(p, e, cost) }
+}
+
 // EvalInst executes one data instruction on explicit operand values using
 // the reference interpreter and returns the (pre-mask) result vector. The
 // operands a, b, c are the base register values the instruction's A, B, C
