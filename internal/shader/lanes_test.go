@@ -144,9 +144,8 @@ func TestDifferentialLaneFuzz(t *testing.T) {
 
 // TestDifferentialLaneKernelSuite runs every generated kernel through the
 // lane compiler at the supported widths. Every kernel is eligible: the
-// straight-line ones take the line form with the whole per-invocation
-// cycle cost precomputed, and jacobi — whose boundary ternary lowers to
-// real branches — takes the masked form.
+// straight-line ones take the line form, and jacobi — whose boundary
+// ternary lowers to real branches — takes the masked form.
 func TestDifferentialLaneKernelSuite(t *testing.T) {
 	cost := DefaultCostModel()
 	rng := rand.New(rand.NewSource(20260808))
@@ -156,19 +155,8 @@ func TestDifferentialLaneKernelSuite(t *testing.T) {
 			if _, reason := LaneFallbackAt(p); reason != "" {
 				t.Fatalf("kernel unexpectedly ineligible: %s", reason)
 			}
-			jacobi := name == "jacobi/fp32" || name == "jacobi/fp24"
-			if jacobi == StraightLine(p.Insts) {
+			if (name == "jacobi/fp32" || name == "jacobi/fp24") == StraightLine(p.Insts) {
 				t.Fatal("jacobi alone among the kernels has real branches")
-			}
-			lc := p.LaneCompiled(&cost, DefaultLaneWidth)
-			if lc == nil {
-				t.Fatal("kernel did not lane-compile")
-			}
-			if lc.Masked() != jacobi {
-				t.Fatalf("masked=%v: only jacobi takes the masked form", lc.Masked())
-			}
-			if want := cost.StaticCycles(p); !jacobi && lc.cyclesPerLane != want {
-				t.Fatalf("line form precomputes %d cycles per lane, want StaticCycles %d", lc.cyclesPerLane, want)
 			}
 			for _, width := range []int{2, 4, 8, 16} {
 				for _, n := range []int{1, width / 2, width} {
@@ -191,6 +179,29 @@ func TestDifferentialLaneKernelSuite(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLaneKernelsCompileForm pins the form the lane compiler picks for
+// every generated kernel at the default width: the straight-line ones
+// take the line form with the whole per-invocation cycle cost
+// precomputed, and jacobi — whose boundary branches preclude it — takes
+// the masked form.
+func TestLaneKernelsCompileForm(t *testing.T) {
+	cost := DefaultCostModel()
+	for name, p := range kernelSuite(t) {
+		lc := p.LaneCompiled(&cost, DefaultLaneWidth)
+		if lc == nil {
+			t.Fatalf("%s: did not lane-compile", name)
+		}
+		jacobi := name == "jacobi/fp32" || name == "jacobi/fp24"
+		if lc.Masked() != jacobi {
+			t.Errorf("%s: masked=%v, only jacobi takes the masked form", name, lc.Masked())
+			continue
+		}
+		if want := cost.StaticCycles(p); !jacobi && lc.cyclesPerLane != want {
+			t.Errorf("%s: line form precomputes %d cycles per lane, want StaticCycles %d", name, lc.cyclesPerLane, want)
+		}
 	}
 }
 
